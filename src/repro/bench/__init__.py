@@ -1,11 +1,12 @@
 """Performance-bench harness for the simulation engine (``python -m repro bench``).
 
-PR 4 made the engine fast (incremental max-min, kernel tombstones, a
-timer-wheel option) under the contract that **no simulated result may
-change**.  This package is the other half of that contract: it measures
-the speedups and simultaneously re-checks fast-vs-reference equality on
-every run, writing both to ``BENCH_engine.json`` so the perf trajectory
-is a tracked artifact rather than folklore.
+The engine's fast paths (incremental max-min, kernel tombstones, horizon
+batching) live under the contract that **no simulated result may
+change**.  This package measures them: solver micro-benchmarks re-check
+fast-vs-reference solver equality on every run, and the macro-benchmarks
+record absolute wall time, dispatched events and same-seed determinism
+in ``BENCH_engine.json``, so the perf trajectory is a tracked artifact
+rather than folklore.
 
 * :mod:`repro.bench.engine` — the individual micro- and macro-benchmarks;
 * :mod:`repro.bench.cli` — the ``python -m repro bench`` entry point.
@@ -15,7 +16,6 @@ from repro.bench.engine import (
     BenchReport,
     bench_fig6,
     bench_kernel_cancel,
-    bench_kernel_dispatch,
     bench_maxmin_churn,
     bench_maxmin_solver,
     bench_network_faults,
@@ -27,7 +27,6 @@ __all__ = [
     "BenchReport",
     "bench_maxmin_solver",
     "bench_maxmin_churn",
-    "bench_kernel_dispatch",
     "bench_kernel_cancel",
     "bench_fig6",
     "bench_network_faults",

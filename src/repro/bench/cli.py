@@ -2,13 +2,14 @@
 
 Writes ``BENCH_engine.json``: a :class:`repro.bench.engine.BenchReport`
 with a :mod:`repro.obs` run manifest attached (config hash, git rev,
-wall-clock), and exits non-zero if any fast-vs-reference comparison
-diverged — the same contract the CI ``bench-smoke`` job enforces.
+wall-clock), and exits non-zero if a fast-vs-reference solver
+comparison diverged or a same-seed macro rerun exported different
+bytes — the same contract the CI ``bench-smoke`` job enforces.
 
 ``--compare`` additionally diffs the run against the history file
 (``BENCH_history.jsonl``; see :mod:`repro.bench.history`), appends the
 fresh entry, and exits non-zero when a gated metric (a fast-vs-
-reference speedup ratio) regressed beyond ``--threshold``.
+reference solver speedup ratio) regressed beyond ``--threshold``.
 
 When the scalability macro carries simulator self-profiles (see
 :mod:`repro.simnet.profiler`), the per-leg wall-clock attributions are
@@ -48,11 +49,15 @@ def _collect_self_profiles(report) -> dict:
     return legs
 
 
-def _fmt_speedup(entry: dict) -> str:
-    mark = "ok " if entry.get("identical", True) else "DIVERGED"
-    if "speedup" not in entry:
-        return f"{'-':>7}  {mark}"
-    return f"{entry['speedup']:6.2f}x  {mark}"
+def _fmt_entry(entry: dict) -> str:
+    ok = entry.get("identical", True) and entry.get("deterministic", True)
+    mark = "ok " if ok else "DIVERGED"
+    if "speedup" in entry:
+        return f"{entry['speedup']:6.2f}x  {mark}"
+    for key in ("total_wall_s", "wall_s", "run_s"):
+        if key in entry:
+            return f"{entry[key]:6.2f}s  {mark}"
+    return f"{'-':>7}  {mark}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -168,11 +173,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"\nengine bench ({wall:.1f}s wall) -> {out}")
     for section in ("micro", "macro"):
         for name, entry in getattr(report, section).items():
-            print(f"  {section}/{name:<16} {_fmt_speedup(entry)}")
+            print(f"  {section}/{name:<16} {_fmt_entry(entry)}")
     status = 0
     if report.divergence:
         print(
-            "\nFAIL: fast-path results diverged from the reference solver",
+            "\nFAIL: a solver comparison diverged or a same-seed rerun "
+            "was not deterministic",
             file=sys.stderr,
         )
         status = 1

@@ -1,21 +1,19 @@
 """Micro- and macro-benchmarks of the simulation engine.
 
-Every benchmark here does two jobs at once:
+The solver micro-benchmarks time the fast max-min solver against
+``_maxmin_rates_reference`` on the same flow state and verify that both
+produce bit-for-bit identical rates; each carries an ``identical``
+flag.  The macro-benchmarks run whole experiments on the one flow
+engine and report absolute wall time, dispatched events and a
+``deterministic`` bit: two same-seed runs must export byte-identical
+results.  :func:`run_bench` folds every false ``identical`` or
+``deterministic`` bit into a top-level ``divergence`` bit that the CLI
+(and the CI ``bench-smoke`` job) turns into a non-zero exit status.
+Identity against the reference flow engine is pinned by the test
+suite's oracle and golden-digest tests, not here.
 
-1. **time** the fast path against the reference implementation
-   (``_maxmin_rates_reference`` / the plain binary heap), and
-2. **verify** that both produce bit-for-bit identical simulated results
-   — rates, completion times, exported metrics.
-
-A benchmark that reports a speedup for a solver that diverged would be
-worse than useless, so each result carries an ``identical`` flag and
-:func:`run_bench` aggregates them into a top-level ``divergence`` bit
-that the CLI (and the CI ``bench-smoke`` job) turns into a non-zero
-exit status.
-
-Timings use ``time.perf_counter``; micro-benchmarks report best-of-N
-to shave scheduler noise, macro-benchmarks run once per solver (the
-Figure-6 100 GB point is seconds, not microseconds).
+Timings use ``time.perf_counter``; every benchmark reports best-of-N
+to shave scheduler noise.
 """
 
 from __future__ import annotations
@@ -24,10 +22,10 @@ import gc
 import json
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
-from repro.simnet.engine import use_engine
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network, use_solver
 
@@ -57,7 +55,7 @@ class BenchReport:
         if result.get("identical") is False:
             self.divergence = True
         # A same-seed rerun that exports different bytes is as
-        # disqualifying as a cross-engine divergence.
+        # disqualifying as a fast-vs-reference solver divergence.
         if result.get("deterministic") is False:
             self.divergence = True
 
@@ -254,7 +252,7 @@ def bench_maxmin_churn(
 
 
 # ---------------------------------------------------------------------------
-# micro: kernel dispatch
+# micro: kernel cancel storm
 # ---------------------------------------------------------------------------
 
 
@@ -273,31 +271,6 @@ def _timer_storm(
     t0 = time.perf_counter()
     sim.run()
     return time.perf_counter() - t0
-
-
-def bench_kernel_dispatch(
-    timers: int = 200_000, repeats: int = 3, seed: int = 2011, slot: float = 0.05
-) -> dict:
-    """Raw event dispatch: binary heap vs the slotted timer wheel."""
-    heap_s = _best_of(lambda: _timer_storm(Simulator(), timers, 0.0, seed), repeats)
-    wheel_s = _best_of(
-        lambda: _timer_storm(Simulator(timer_slot=slot), timers, 0.0, seed), repeats
-    )
-    heap_end = Simulator()
-    _timer_storm(heap_end, timers, 0.0, seed)
-    wheel_end = Simulator(timer_slot=slot)
-    _timer_storm(wheel_end, timers, 0.0, seed)
-    return {
-        "timers": timers,
-        "repeats": repeats,
-        "timer_slot": slot,
-        "heap_s": heap_s,
-        "wheel_s": wheel_s,
-        "heap_events_per_s": timers / heap_s,
-        "wheel_events_per_s": timers / wheel_s,
-        "speedup": heap_s / wheel_s if wheel_s > 0 else float("inf"),
-        "identical": heap_end.now == wheel_end.now,
-    }
 
 
 def bench_kernel_cancel(
@@ -329,8 +302,55 @@ def bench_kernel_cancel(
 
 
 # ---------------------------------------------------------------------------
-# macro: experiments, fast vs reference
+# macro: whole experiments, wall time + determinism
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def _counting_dispatch():
+    """Tally the events every ``Simulator.run()`` in the block dispatches.
+
+    The experiment drivers build their simulators internally, so the
+    bench wraps ``run`` for the duration of a timed leg; yields a
+    one-element list holding the running total.
+    """
+    tally = [0]
+    run = Simulator.run
+
+    def counted(self, until=None):
+        before = self.events_dispatched
+        try:
+            return run(self, until)
+        finally:
+            tally[0] += self.events_dispatched - before
+
+    Simulator.run = counted
+    try:
+        yield tally
+    finally:
+        Simulator.run = run
+
+
+def _timed_legs(fn: Callable[[], str], repeats: int) -> dict:
+    """Run ``fn`` (which returns a sorted-key export) ``max(2, repeats)``
+    times: best wall, dispatched events and the same-seed bit."""
+    wall = float("inf")
+    exports = []
+    events = 0
+    for _ in range(max(2, repeats)):
+        # Collect the previous leg's cycle garbage (tens of thousands of
+        # flow/event closures) *outside* the timed window.
+        gc.collect()
+        with _counting_dispatch() as tally:
+            t0 = time.perf_counter()
+            exports.append(fn())
+            wall = min(wall, time.perf_counter() - t0)
+        events = tally[0]
+    return {
+        "wall_s": wall,
+        "events": events,
+        "deterministic": all(e == exports[0] for e in exports),
+    }
 
 
 def bench_fig6(
@@ -338,65 +358,31 @@ def bench_fig6(
     seed: int = 2011,
     repeats: int = 5,
 ) -> dict:
-    """Figure-6 WordCount at each size, full fast path vs full reference.
+    """Figure-6 WordCount at each size: best-of-N wall, events, determinism.
 
-    The fast leg is the process default — vectorized flow engine plus
-    fast solver; the reference leg pins *both* knobs back (``use_engine``
-    + ``use_solver``), so the ratio measures the whole optimization
-    stack.  Exports (the full Hadoop and MPI-D metrics dicts) are
-    serialised with sorted keys and compared as strings — bit-for-bit,
-    the same check the determinism CI applies.  Each leg is timed
-    best-of-N with the reference leg first, so the fast leg never gets
-    the cold-cache run and neither leg wears the machine's background
-    noise alone.
+    Exports (the full Hadoop and MPI-D metrics dicts) are serialised
+    with sorted keys and compared as strings across the same-seed runs
+    — bit-for-bit, the same check the determinism CI applies.
     """
     from repro.experiments import fig6_wordcount as f6
 
-    per_size: dict = {}
-    total_fast = total_ref = 0.0
-    all_identical = True
-    for size in sizes_gb:
-        fast_s = ref_s = float("inf")
-        fast = ref = None
-        for _ in range(max(1, repeats)):
-            # Collect the previous leg's cycle garbage (tens of
-            # thousands of flow/event closures) *outside* the timed
-            # window — each leg is measured on its own allocations.
-            with use_engine("reference"), use_solver("reference"):
-                gc.collect()
-                t0 = time.perf_counter()
-                ref = f6.run(sizes_gb=(size,), seed=seed)
-                ref_s = min(ref_s, time.perf_counter() - t0)
-            gc.collect()
-            t0 = time.perf_counter()
-            fast = f6.run(sizes_gb=(size,), seed=seed)
-            fast_s = min(fast_s, time.perf_counter() - t0)
-        fast_json = json.dumps(
-            {"hadoop": fast.hadoop_metrics, "mpid": fast.mpid_metrics},
+    def export(size: float) -> str:
+        res = f6.run(sizes_gb=(size,), seed=seed)
+        return json.dumps(
+            {"hadoop": res.hadoop_metrics, "mpid": res.mpid_metrics},
             sort_keys=True,
         )
-        ref_json = json.dumps(
-            {"hadoop": ref.hadoop_metrics, "mpid": ref.mpid_metrics},
-            sort_keys=True,
-        )
-        identical = fast_json == ref_json
-        all_identical = all_identical and identical
-        total_fast += fast_s
-        total_ref += ref_s
-        per_size[f"{size:g}"] = {
-            "fast_s": fast_s,
-            "reference_s": ref_s,
-            "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
-            "identical": identical,
-        }
+
+    per_size = {
+        f"{size:g}": _timed_legs(lambda size=size: export(size), repeats)
+        for size in sizes_gb
+    }
     return {
         "seed": seed,
         "sizes_gb": list(sizes_gb),
         "per_size": per_size,
-        "total_fast_s": total_fast,
-        "total_reference_s": total_ref,
-        "speedup": total_ref / total_fast if total_fast > 0 else float("inf"),
-        "identical": all_identical,
+        "total_wall_s": sum(leg["wall_s"] for leg in per_size.values()),
+        "deterministic": all(leg["deterministic"] for leg in per_size.values()),
     }
 
 
@@ -405,38 +391,26 @@ def bench_network_faults(
     seeds: tuple[int, ...] = (2011,),
     rates: tuple[float, ...] = (120.0, 900.0),
     partitions: tuple[float, ...] = (5.0,),
+    repeats: int = 2,
 ) -> dict:
-    """The lossy-network sweep (PR 3's stress workload), fast vs reference."""
+    """The lossy-network stress sweep: wall, events, determinism."""
     from repro.experiments import network_faults as nf
 
-    t0 = time.perf_counter()
-    fast = nf.run(
-        input_gb=input_gb,
-        seeds=seeds,
-        rates_per_link_hour=rates,
-        partition_durations=partitions,
-    )
-    fast_s = time.perf_counter() - t0
-    with use_engine("reference"), use_solver("reference"):
-        t0 = time.perf_counter()
-        ref = nf.run(
+    def export() -> str:
+        res = nf.run(
             input_gb=input_gb,
             seeds=seeds,
             rates_per_link_hour=rates,
             partition_durations=partitions,
         )
-        ref_s = time.perf_counter() - t0
-    fast_json = json.dumps(asdict(fast), sort_keys=True, default=str)
-    ref_json = json.dumps(asdict(ref), sort_keys=True, default=str)
+        return json.dumps(asdict(res), sort_keys=True, default=str)
+
     return {
         "input_gb": input_gb,
         "seeds": list(seeds),
         "rates_per_link_hour": list(rates),
         "partition_durations": list(partitions),
-        "fast_s": fast_s,
-        "reference_s": ref_s,
-        "speedup": ref_s / fast_s if fast_s > 0 else float("inf"),
-        "identical": fast_json == ref_json,
+        **_timed_legs(export, repeats),
     }
 
 
@@ -540,34 +514,24 @@ def bench_scalability(
     horizon: float = 240.0,
     profile: bool = True,
 ) -> dict:
-    """Synthetic large clusters: vectorized vs reference flow engine.
+    """Synthetic large clusters: wall time, events and determinism.
 
-    Both legs run the *same fast solver* — this macro isolates the flow
-    engine (horizon batching, deferred solve flush, pooled ticks, shared
-    heartbeat ticks), not the solver.  Per cluster size it runs a
-    single Hadoop job (input scaled with workers, so heartbeat traffic
-    dominates as the cluster grows) and a multi-tenant arrival stream,
-    and reports wall time, dispatched-event counts, the engine speedup
-    and two correctness bits:
+    Per cluster size it runs a single Hadoop job (input scaled with
+    workers, so heartbeat traffic dominates as the cluster grows) and a
+    multi-tenant arrival stream, twice each, and reports the best wall
+    time, dispatched-event count, simulated elapsed time and the
+    ``deterministic`` bit — two same-seed runs export byte-identical
+    results (the arena/slot reuse must not leak state between runs).
 
-    * ``identical`` — vectorized exports == reference exports,
-      bit-for-bit (sorted-key JSON string compare);
-    * ``deterministic`` — two same-seed vectorized runs export
-      byte-identical results (the arena/slot reuse must not leak state
-      between runs).
-
-    When ``profile`` is set, one *extra, untimed* vectorized run per
-    (nodes, kind) rides with a :class:`~repro.simnet.profiler.SelfProfiler`
-    attached, and its wall-clock attribution snapshot lands in
+    When ``profile`` is set, one *extra, untimed* run per (nodes, kind)
+    rides with a :class:`~repro.simnet.profiler.SelfProfiler` attached,
+    and its wall-clock attribution snapshot lands in
     ``entry[kind]["self_profile"]``.  The profiler never touches the
-    timed legs — the speedup numbers above are measured with the
-    profiler detached, exactly as before.
+    timed runs.
     """
     from repro.simnet.profiler import SelfProfiler
 
     per_nodes: dict = {}
-    total_vec = total_ref = 0.0
-    all_identical = True
     for nodes in node_counts:
         entry: dict = {}
         for kind, runner in (
@@ -584,23 +548,12 @@ def bench_scalability(
                 ),
             ),
         ):
-            with use_engine("reference"):
-                ref_wall, ref_export, ref_events, sim_elapsed = runner()
-            vec_wall, vec_export, vec_events, _ = runner()
-            vec_wall2, vec_export2, _, _ = runner()
-            vec_wall = min(vec_wall, vec_wall2)
-            identical = vec_export == ref_export
-            all_identical = all_identical and identical
-            total_vec += vec_wall
-            total_ref += ref_wall
+            wall, export, events, sim_elapsed = runner()
+            wall2, export2, _, _ = runner()
             entry[kind] = {
-                "vectorized_s": vec_wall,
-                "reference_s": ref_wall,
-                "speedup": ref_wall / vec_wall if vec_wall > 0 else float("inf"),
-                "identical": identical,
-                "deterministic": vec_export == vec_export2,
-                "events_vectorized": vec_events,
-                "events_reference": ref_events,
+                "wall_s": min(wall, wall2),
+                "events": events,
+                "deterministic": export == export2,
                 "sim_elapsed_s": sim_elapsed,
             }
             if profile:
@@ -614,10 +567,9 @@ def bench_scalability(
         "mib_per_worker": mib_per_worker,
         "horizon_s": horizon,
         "per_nodes": per_nodes,
-        "total_fast_s": total_vec,
-        "total_reference_s": total_ref,
-        "speedup": total_ref / total_vec if total_vec > 0 else float("inf"),
-        "identical": all_identical,
+        "total_wall_s": sum(
+            leg["wall_s"] for entry in per_nodes.values() for leg in entry.values()
+        ),
         "deterministic": all(
             leg["deterministic"]
             for entry in per_nodes.values()
@@ -665,10 +617,6 @@ def run_bench(
         "maxmin_churn",
         bench_maxmin_churn(flows=churn_flows, repeats=repeats, seed=seed),
     )
-    say("micro: kernel dispatch (heap vs timer wheel)")
-    report.record(
-        "micro", "kernel_dispatch", bench_kernel_dispatch(timers=timers, repeats=repeats, seed=seed)
-    )
     say("micro: kernel cancel storm (tombstones)")
     report.record(
         "micro", "kernel_cancel", bench_kernel_cancel(timers=timers, repeats=repeats, seed=seed)
@@ -676,19 +624,19 @@ def run_bench(
     # The micros above churned hundreds of thousands of timer objects;
     # collect the garbage and freeze the survivors so the macros' timed
     # legs never pay gen-2 scans over a heap they didn't allocate.  The
-    # fast leg packs the same allocations into fewer wall seconds, so
-    # stray GC pauses bias the *ratio*, not just the absolute numbers.
+    # timed legs pack those allocations into few wall seconds, so stray
+    # GC pauses would bias the absolute numbers.
     gc.collect()
     gc.freeze()
     say(f"macro: Figure-6 WordCount at {', '.join(f'{s:g}' for s in sizes_gb)} GB")
     report.record(
         "macro",
         "fig6",
-        bench_fig6(sizes_gb=sizes_gb, seed=seed, repeats=1 if quick else 5),
+        bench_fig6(sizes_gb=sizes_gb, seed=seed, repeats=2 if quick else 5),
     )
     scal_nodes = (100,) if quick else (200, 500, 1000)
     say(
-        "macro: scalability (engine A/B at "
+        "macro: scalability (at "
         + ", ".join(str(n) for n in scal_nodes)
         + " nodes)"
     )

@@ -432,15 +432,15 @@ class MrMpiSimulation:
             for rnode in reducer_nodes
         ]
         wc_cache: dict[float, tuple[int, float, float]] = {}
-        # Horizon batching (vectorized engine, tracing off): the spill
-        # chain's pure CPU delays — realign, compress, the first
-        # reducer's injection cost — collapse into one pooled tick at
-        # the accumulated absolute instant.  The accumulation performs
+        # Horizon batching (tracing off): the spill chain's pure CPU
+        # delays — realign, compress, the first reducer's injection
+        # cost — collapse into one pooled tick at the accumulated
+        # absolute instant.  The accumulation performs
         # the same float additions in the same order the chained
         # timeouts would (((t + realign) + compress) + send_cpu), so
         # every send starts at the bit-identical time.  Span boundaries
         # pin the unfused chain when tracing is on.
-        fused = not obs.enabled and self.cluster.network.engine == "vectorized"
+        fused = not obs.enabled
         # Deeper fusion — CPU slot held via try_acquire with an
         # autonomous release tick — is only valid when nothing can
         # interrupt the mapper mid-chain: an interrupted scalar mapper

@@ -13,11 +13,11 @@ third-party JS — one file you can open from disk or attach to a CI run):
   **sweep browser**: every CSV the ``experiments`` exporters wrote
   (``results/*.csv``) charted as lines over its first column, JSON
   export summaries, ``BENCH_scalability.json`` flattened into a
-  per-node-count speedup chart, and the bench-history speedup trends
+  per-node-count wall-time chart, and the bench-history speedup trends
   from ``benchmarks/*.jsonl`` — the cross-run companion to the
-  single-run replay view.  Gate failures (engine divergence, lost
-  determinism, a speedup ratio dropping past the regression threshold)
-  surface as an alert list and highlight the trend chart.
+  single-run replay view.  Gate failures (lost determinism, a speedup
+  ratio dropping past the regression threshold) surface as an alert
+  list and highlight the trend chart.
 * :func:`render_fleet_page` / :func:`write_fleet_page` — the **fleet
   page**: the :class:`~repro.obs.fleet.FleetSummary` rollup of a
   directory of streamed trace stores as linked tables — per-store
@@ -649,20 +649,20 @@ _BENCH_REGRESSION_THRESHOLD = 0.10
 
 
 def _scalability_table(payload: dict) -> Optional[dict]:
-    """Flatten ``BENCH_scalability.json`` into a chartable speedup table."""
+    """Flatten ``BENCH_scalability.json`` into a chartable wall-time table."""
     per_nodes = payload.get("per_nodes") or {}
     if not per_nodes:
         return None
     kinds = sorted({k for legs in per_nodes.values() for k in legs})
-    header = ["nodes"] + [f"{kind}.speedup" for kind in kinds]
+    header = ["nodes"] + [f"{kind}.wall_s" for kind in kinds]
     rows = []
     for nodes in sorted(per_nodes, key=lambda n: int(n)):
         legs = per_nodes[nodes]
         row = [nodes]
         for kind in kinds:
             leg = legs.get(kind) or {}
-            sp = leg.get("speedup")
-            row.append(f"{sp:.4f}" if isinstance(sp, (int, float)) else "")
+            wall = leg.get("wall_s")
+            row.append(f"{wall:.4f}" if isinstance(wall, (int, float)) else "")
         rows.append(row)
     return {"header": header, "rows": rows, "truncated": False}
 
@@ -674,13 +674,8 @@ def _scalability_alerts(name: str, payload: dict) -> list[str]:
     for nodes in sorted(per_nodes, key=lambda n: int(n)):
         for kind in sorted(per_nodes[nodes]):
             leg = per_nodes[nodes][kind] or {}
-            where = f"{name}: {kind} @ {nodes} nodes"
-            if leg.get("identical") is False:
-                alerts.append(f"{where} — engines diverged")
             if leg.get("deterministic") is False:
-                alerts.append(f"{where} — vectorized run not deterministic")
-    if payload.get("identical") is False:
-        alerts.append(f"{name} — engine divergence (overall)")
+                alerts.append(f"{name}: {kind} @ {nodes} nodes — not deterministic")
     if payload.get("deterministic") is False:
         alerts.append(f"{name} — determinism lost (overall)")
     return alerts
@@ -719,7 +714,7 @@ def build_sweep_data(
     multi-tenant sweep's ``multi_tenant.csv``/``.json`` land here like
     every other experiment), any bench-history JSONL files, and — when
     present — ``BENCH_scalability.json``, whose per-node-count legs
-    flatten into a speedup table charted like a CSV sweep.  Nothing is
+    flatten into a wall-time table charted like a CSV sweep.  Nothing is
     re-run.  Oversize CSVs are truncated (flagged ``truncated``), JSON
     exports contribute a shallow summary, and every gate failure or
     run-over-run speedup regression lands in ``alerts``.

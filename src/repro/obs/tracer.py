@@ -12,8 +12,8 @@ instrumented model picks).  Spans nest two ways:
 
 ``begin`` returns an integer span ID; ``end(sid)`` closes it.  IDs make
 re-entrant names safe (two retries of ``map3`` are two distinct spans)
-and survive out-of-order closing — the old label-matching tracer in
-:mod:`repro.simnet.trace` could do neither.
+and survive out-of-order closing, which pairing ``:start``/``:end``
+labels by string matching cannot do.
 
 The tracer never schedules simulator events and never consumes
 randomness: tracing on or off, the simulated event sequence is

@@ -164,8 +164,8 @@ class Cluster:
         The bottleneck-analysis view: which disks and links were busy,
         and how many bytes each moved.
         """
-        # The vectorized engine settles link byte counters lazily; bring
-        # them up to now before reading (no-op on the reference engine).
+        # Link byte counters settle lazily; bring them up to now before
+        # reading.
         self.network.settle_accounting()
         report: dict = {}
         for node in self.nodes:

@@ -15,28 +15,29 @@ Invariants the kernel maintains (property-tested in
 * a failed event that is never yielded-on raises at ``run()`` end
   (no silently swallowed simulation errors).
 
-Two fast paths keep the hot loop cheap at scale (benchmarked by
-``python -m repro bench``):
+Every scheduled event is one ``(time, seq, event)`` entry of a single
+binary heap, and :meth:`Simulator.run` is one loop over it (plus an
+instrumented twin used only while a self-profiler is attached).  Two
+mechanisms keep that loop cheap at scale:
 
 * **lazy cancellation** — :meth:`Event.cancel` tombstones a scheduled
   event instead of rebuilding the heap; the popped tombstone still
   advances the clock (so drain semantics are unchanged) but dispatches
   nothing.  The network's superseded completion timers and the shuffle's
   resolved fetch-deadline timers use this.
-* an optional **slotted timer wheel** (``Simulator(timer_slot=...)``)
-  that buckets timeout entries by expiry slot and sorts each bucket
-  lazily on first pop — O(1) amortized scheduling for the retry/backoff
-  timer clouds, while preserving the heap's exact (time, seq) total
-  order (property-tested in ``tests/simnet/test_kernel_fastpath.py``).
+* **pooled ticks** — :meth:`Simulator.tick` hands out recycled
+  :class:`Tick` events, and same-instant *shared* ticks coalesce into
+  one heap entry (see :class:`Tick`).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs.observer import NULL_OBS
+
+_INF = float("inf")
 
 
 class SimError(RuntimeError):
@@ -165,8 +166,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"timeout delay must be finite and >= 0: {delay}")
         super().__init__(sim)
         self.delay = float(delay)
         self._triggered = True
@@ -268,88 +269,6 @@ class AnyOf(_Condition):
         if self._triggered:
             return
         self.succeed(ev._value)
-
-
-class _TimerWheel:
-    """A slotted calendar queue for timeout entries.
-
-    Entries are ``(when, seq, event)`` tuples bucketed by
-    ``int(when / width)``.  Buckets are kept unsorted until their slot
-    becomes the head, then sorted once — so pushing N timers into the
-    same slot costs O(N) + one sort instead of N heap sifts.  Pops come
-    out in exact ``(when, seq)`` order, byte-identical to the heap's:
-
-    * the head bucket is consumed through a cursor; entries pushed into
-      the head slot *after* it was sorted are insorted — monotonic time
-      and sequence numbers guarantee they land at or after the cursor;
-    * a push into an *earlier* slot than the current head (a short timer
-      scheduled while a long-range bucket is head) demotes the head
-      bucket back into the calendar before the earlier one is loaded.
-    """
-
-    __slots__ = ("width", "_buckets", "_slots", "_head_slot", "_head", "_idx", "size")
-
-    def __init__(self, width: float):
-        if width <= 0:
-            raise ValueError(f"timer slot width must be positive: {width}")
-        self.width = float(width)
-        self._buckets: dict[int, list[tuple[float, int, "Event"]]] = {}
-        self._slots: list[int] = []  # min-heap of bucket indices (may hold stales)
-        self._head_slot: Optional[int] = None
-        self._head: list[tuple[float, int, "Event"]] = []
-        self._idx = 0
-        self.size = 0
-
-    def push(self, when: float, seq: int, ev: "Event") -> None:
-        slot = int(when / self.width)
-        if slot == self._head_slot:
-            insort(self._head, (when, seq, ev))
-        else:
-            bucket = self._buckets.get(slot)
-            if bucket is None:
-                self._buckets[slot] = [(when, seq, ev)]
-                heapq.heappush(self._slots, slot)
-            else:
-                bucket.append((when, seq, ev))
-        self.size += 1
-
-    def _load_head(self) -> bool:
-        """Make the earliest pending bucket the head; False when empty."""
-        while True:
-            if self._head_slot is not None and self._idx < len(self._head):
-                if self._slots and self._slots[0] < self._head_slot:
-                    # An earlier slot appeared: demote the head remainder.
-                    rest = self._head[self._idx :]
-                    bucket = self._buckets.get(self._head_slot)
-                    if bucket is None:
-                        self._buckets[self._head_slot] = rest
-                        heapq.heappush(self._slots, self._head_slot)
-                    else:  # pragma: no cover - defensive; pushes go to head
-                        bucket.extend(rest)
-                    self._head_slot, self._head, self._idx = None, [], 0
-                    continue
-                return True
-            if not self._slots:
-                self._head_slot, self._head, self._idx = None, [], 0
-                return False
-            slot = heapq.heappop(self._slots)
-            bucket = self._buckets.pop(slot, None)
-            if not bucket:
-                continue  # stale slot entry (bucket already drained)
-            bucket.sort()
-            self._head_slot, self._head, self._idx = slot, bucket, 0
-
-    def peek(self) -> Optional[tuple[float, int, "Event"]]:
-        if not self._load_head():
-            return None
-        return self._head[self._idx]
-
-    def pop(self) -> tuple[float, int, "Event"]:
-        entry = self.peek()
-        assert entry is not None, "pop from an empty timer wheel"
-        self._idx += 1
-        self.size -= 1
-        return entry
 
 
 ProcessGen = Generator[Event, Any, Any]
@@ -476,17 +395,11 @@ class Simulator:
         assert sim.now == 1.5 and proc.value == "done"
     """
 
-    def __init__(self, timer_slot: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._failed_events: list[Event] = []
-        #: Optional slotted timer wheel: delayed events (timeouts) are
-        #: bucketed by ``timer_slot`` seconds instead of heap-pushed.
-        #: Fire order is identical either way; None keeps the pure heap.
-        self._wheel: Optional[_TimerWheel] = (
-            _TimerWheel(timer_slot) if timer_slot is not None else None
-        )
         #: Dispatch volume counters (plain ints — free when obs is off);
         #: the bench harness derives events/sec from these.
         self.events_dispatched = 0
@@ -507,8 +420,8 @@ class Simulator:
         self.obs = NULL_OBS
         #: Wall-clock self-profiler (:mod:`repro.simnet.profiler`), or
         #: None.  Checked exactly once per ``run()`` call — with no
-        #: profiler attached the hot loops below are byte-identical to
-        #: the pre-profiler kernel.
+        #: profiler attached the hot loop below is byte-identical to the
+        #: pre-profiler kernel.
         self._profiler = None
 
     @property
@@ -535,8 +448,8 @@ class Simulator:
         Fires at exactly the instant ``timeout(delay)`` would — the
         expiry is computed as ``now + delay``, the same float expression.
         """
-        if delay < 0:
-            raise ValueError(f"negative tick delay: {delay}")
+        if not 0.0 <= delay < _INF:
+            raise ValueError(f"tick delay must be finite and >= 0: {delay}")
         return self.tick_at(self._now + delay, cb, shared=shared)
 
     def tick_at(
@@ -554,8 +467,10 @@ class Simulator:
         bit-for-bit.  With ``shared=True`` the tick may coalesce with the
         immediately-preceding shared tick for the same instant.
         """
-        if when < self._now:
-            raise ValueError(f"tick in the past: {when} < {self._now}")
+        if not self._now <= when < _INF:
+            raise ValueError(
+                f"tick must be finite and not in the past: {when} (now {self._now})"
+            )
         if shared and (
             self._last_shared is not None
             and self._last_shared_when == when
@@ -579,10 +494,7 @@ class Simulator:
                 ev.callbacks.append(cb)
         ev._triggered = True
         ev._ok = True
-        if when > self._now and self._wheel is not None:
-            self._wheel.push(when, self._seq, ev)
-        else:
-            heapq.heappush(self._heap, (when, self._seq, ev))
+        heapq.heappush(self._heap, (when, self._seq, ev))
         if shared:
             self._last_shared = ev
             self._last_shared_when = when
@@ -611,34 +523,11 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, ev: Event, delay: float = 0.0) -> None:
-        if delay > 0.0 and self._wheel is not None:
-            self._wheel.push(self._now + delay, self._seq, ev)
-        else:
-            heapq.heappush(self._heap, (self._now + delay, self._seq, ev))
+        heapq.heappush(self._heap, (self._now + delay, self._seq, ev))
         self._seq += 1
 
-    def _next_entry(self) -> Optional[tuple[float, int, Event]]:
-        """The globally-earliest pending entry across heap and wheel."""
-        head = self._heap[0] if self._heap else None
-        wheel = self._wheel
-        if wheel is None or wheel.size == 0:
-            return head
-        wtop = wheel.peek()
-        if head is None or (wtop[0], wtop[1]) < (head[0], head[1]):
-            return wtop
-        return head
-
     def _pop(self) -> None:
-        wheel = self._wheel
-        if wheel is not None and wheel.size:
-            wtop = wheel.peek()
-            head = self._heap[0] if self._heap else None
-            if head is None or (wtop[0], wtop[1]) < (head[0], head[1]):
-                when, _seq, ev = wheel.pop()
-            else:
-                when, _seq, ev = heapq.heappop(self._heap)
-        else:
-            when, _seq, ev = heapq.heappop(self._heap)
+        when, _seq, ev = heapq.heappop(self._heap)
         if when < self._now - 1e-15:
             raise SimError(f"time went backwards: {when} < {self._now}")
         self._now = when if when > self._now else self._now
@@ -687,42 +576,31 @@ class Simulator:
     def _run_profiled(self, until: Optional[float]) -> float:
         """``run()`` with wall-clock attribution (see :mod:`..profiler`).
 
-        Same semantics as the fast loops — same pop order, same counter
-        updates — plus two timers per event: pop/peek bookkeeping goes
-        to the ``timer-wheel`` bin (``kernel`` when no wheel is
-        configured), dispatch time to the event's category bin.
+        Same semantics as the unprofiled loop — same pop order, same
+        counter updates — plus two timers per event: heap pop/peek time
+        goes to the ``kernel`` bin, dispatch time to the event's
+        category bin.
         """
         profiler = self._profiler
         clock = profiler.clock
-        wheel = self._wheel
-        pop_bin = "kernel" if wheel is None else "timer-wheel"
         heap = self._heap
         while True:
             t0 = clock()
-            entry = self._next_entry()
-            if entry is None:
-                profiler.record_overhead(pop_bin, clock() - t0)
+            if not heap:
+                profiler.record_overhead("kernel", clock() - t0)
                 break
-            if until is not None and entry[0] > until:
+            if until is not None and heap[0][0] > until:
                 self._now = until
-                profiler.record_overhead(pop_bin, clock() - t0)
+                profiler.record_overhead("kernel", clock() - t0)
                 break
-            if wheel is not None and wheel.size:
-                wtop = wheel.peek()
-                head = heap[0] if heap else None
-                if head is None or (wtop[0], wtop[1]) < (head[0], head[1]):
-                    when, _seq, ev = wheel.pop()
-                else:
-                    when, _seq, ev = heapq.heappop(heap)
-            else:
-                when, _seq, ev = heapq.heappop(heap)
+            when, _seq, ev = heapq.heappop(heap)
             if when < self._now - 1e-15:
                 raise SimError(f"time went backwards: {when} < {self._now}")
             if when > self._now:
                 self._now = when
             callbacks, ev.callbacks = ev.callbacks, None
             t1 = clock()
-            profiler.record_overhead(pop_bin, t1 - t0)
+            profiler.record_overhead("kernel", t1 - t0)
             if callbacks:
                 self.events_dispatched += 1
                 label = self._event_label(callbacks)
@@ -741,38 +619,27 @@ class Simulator:
         """
         if self._profiler is not None:
             return self._run_profiled(until)
-        if self._wheel is None:
-            # Hot loop for the default configuration: pure heap, pop
-            # inlined (no per-event wheel checks).  ``heap`` stays a
-            # valid alias because _schedule mutates the list in place.
-            heap = self._heap
-            heappop = heapq.heappop
-            tick_pool = self._tick_pool
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    return self._finish_run()
-                when, _seq, ev = heappop(heap)
-                if when < self._now - 1e-15:
-                    raise SimError(f"time went backwards: {when} < {self._now}")
-                if when > self._now:
-                    self._now = when
-                callbacks, ev.callbacks = ev.callbacks, None
-                if callbacks:
-                    self.events_dispatched += 1
-                    for cb in callbacks:
-                        cb(ev)
-                if type(ev) is Tick:
-                    tick_pool.append(ev)
-            return self._finish_run()
-        while True:
-            entry = self._next_entry()
-            if entry is None:
-                break
-            if until is not None and entry[0] > until:
+        # The hot loop: pop inlined.  ``heap`` stays a valid alias
+        # because _schedule mutates the list in place.
+        heap = self._heap
+        heappop = heapq.heappop
+        tick_pool = self._tick_pool
+        while heap:
+            if until is not None and heap[0][0] > until:
                 self._now = until
-                break
-            self._pop()
+                return self._finish_run()
+            when, _seq, ev = heappop(heap)
+            if when < self._now - 1e-15:
+                raise SimError(f"time went backwards: {when} < {self._now}")
+            if when > self._now:
+                self._now = when
+            callbacks, ev.callbacks = ev.callbacks, None
+            if callbacks:
+                self.events_dispatched += 1
+                for cb in callbacks:
+                    cb(ev)
+            if type(ev) is Tick:
+                tick_pool.append(ev)
         return self._finish_run()
 
     def _finish_run(self) -> float:
@@ -784,12 +651,11 @@ class Simulator:
 
     def step(self) -> bool:
         """Process a single event; returns False when the heap is empty."""
-        if self._next_entry() is None:
+        if not self._heap:
             return False
         self._pop()
         return True
 
     def peek(self) -> Optional[float]:
         """Time of the next scheduled event, or None when drained."""
-        entry = self._next_entry()
-        return entry[0] if entry is not None else None
+        return self._heap[0][0] if self._heap else None

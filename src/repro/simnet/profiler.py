@@ -5,15 +5,15 @@ runs, but only as a guess from event counts — nothing attributed *host*
 time to event categories.  :class:`SelfProfiler` closes that gap: when
 attached to a :class:`~repro.simnet.kernel.Simulator` it bins the wall
 time of every dispatched event by what the event was for (heartbeat,
-flow, scheduler, task, timer-wheel bookkeeping, everything-else kernel
-work), so "heartbeats dominate" becomes a measured breakdown future
+flow, scheduler, task, and everything-else kernel work, heap pop/peek
+bookkeeping included), so "heartbeats dominate" becomes a measured breakdown future
 perf PRs can gate on.
 
 Two properties the bench harness depends on:
 
 * **zero cost when off** — the profiler is a single ``is not None``
   test at the top of ``Simulator.run()``; with no profiler attached the
-  kernel's hot loops are byte-for-byte the pre-profiler code paths, so
+  kernel's hot loop is byte-for-byte the pre-profiler code path, so
   timed bench legs are unpolluted.
 * **deterministic event counts** — the per-bin ``events`` counters
   depend only on the simulation (same seed → same counts);
@@ -29,10 +29,9 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-#: Attribution bins, in report order.  ``timer-wheel`` is pop/peek
-#: bookkeeping (only nonzero when the slotted wheel is configured);
-#: ``kernel`` is pure-heap pop overhead plus anything unclassified.
-BINS = ("heartbeat", "flow", "scheduler", "task", "timer-wheel", "kernel")
+#: Attribution bins, in report order.  ``kernel`` is heap pop/peek
+#: overhead plus anything unclassified.
+BINS = ("heartbeat", "flow", "scheduler", "task", "kernel")
 
 #: Ordered substring rules mapping an event label to a bin.  First hit
 #: wins, so the specific task/tracker names come before the broad
@@ -100,9 +99,9 @@ class SelfProfiler:
         leg: str = "",
     ) -> None:
         self.clock: Callable[[], float] = clock or time.perf_counter
-        #: Free-form tag for which engine/solver leg this run used
-        #: (e.g. ``"reference"`` / ``"vectorized"``); carried into the
-        #: snapshot so bench exports can group breakdowns per leg.
+        #: Free-form tag for the run this profile covers (e.g.
+        #: ``"multi_tenant@500"``); carried into the snapshot so bench
+        #: exports can group breakdowns per leg.
         self.leg = leg
         #: bin -> [events, wall_seconds]
         self.bins: dict[str, list] = {b: [0, 0.0] for b in BINS}

@@ -5,6 +5,9 @@
 * :class:`RateDevice` — a device with a fixed service rate (bytes/s)
   shared equally among concurrent jobs (processor sharing); models a
   node's disk, where concurrent spills and reads divide the bandwidth.
+  Same-instant arrivals and departures share one deferred PS
+  recomputation; the synchronous-recompute oracle it is diffed against
+  lives in ``tests/simnet/reference_engine.py``.
 * :class:`Store` — an unbounded FIFO channel of items with blocking get;
   models mailbox-style handoff between simulated processes.
 """
@@ -14,8 +17,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Optional
 
-from repro.simnet import engine as _engine_mod
 from repro.simnet.kernel import Event, SimError, Simulator
+
+_INF = float("inf")
 
 
 class SlotPool:
@@ -129,8 +133,8 @@ class RateDevice:
     _EPS = 1e-9
 
     def __init__(self, sim: Simulator, rate: float, name: str = "device"):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0.0 < rate < _INF:
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self.sim = sim
         self.rate = float(rate)
         self.name = name
@@ -138,11 +142,8 @@ class RateDevice:
         self._last_t = 0.0
         self._timer_token = 0
         self._pending: Optional[Event] = None
-        #: Horizon batching (vectorized engine): same-instant arrivals /
-        #: departures collapse into one PS recomputation via a 0-delay
-        #: pooled tick.  The reference engine keeps the fully synchronous
-        #: path — it is the oracle the batched mode is diffed against.
-        self._defer = _engine_mod.DEFAULT_ENGINE == "vectorized"
+        #: Horizon batching: same-instant arrivals / departures collapse
+        #: into one PS recomputation via a 0-delay pooled tick.
         self._flush_tick: Optional[Event] = None
         self.bytes_served = 0.0
         self.busy_time = 0.0
@@ -170,16 +171,16 @@ class RateDevice:
         current time at the old rate, then in-flight jobs are re-timed at
         the new one (the token bump supersedes the stale timer).
         """
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
+        if not 0.0 < rate < _INF:
+            raise ValueError(f"rate must be positive and finite, got {rate}")
         self._advance()
         self.rate = float(rate)
         self._reschedule()
 
     def transfer(self, nbytes: float) -> Event:
         """Serve ``nbytes``; the returned event's value is the nbytes served."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size: {nbytes}")
+        if not 0.0 <= nbytes < _INF:
+            raise ValueError(f"transfer size must be finite and >= 0: {nbytes}")
         ev = self.sim.event()
         if nbytes == 0:
             ev.succeed(0.0)
@@ -215,18 +216,15 @@ class RateDevice:
             # cancelled entries advance the clock identically).
             self._pending.cancel()
             self._pending = None
-        if self._defer:
-            # Work is already integrated (_advance ran at the mutation),
-            # so the recomputation can wait until every same-instant
-            # arrival/departure is in: one solve per instant instead of
-            # one per job.  Intermediate shares are unobservable (dt=0);
-            # completions shift only in intra-instant dispatch order.
-            ft = self._flush_tick
-            if ft is not None and ft.callbacks is not None:
-                return  # a flush for this instant is already queued
-            self._flush_tick = self.sim.tick(0.0, self._flush)
-            return
-        self._reschedule_now()
+        # Work is already integrated (_advance ran at the mutation), so
+        # the recomputation can wait until every same-instant
+        # arrival/departure is in: one solve per instant instead of one
+        # per job.  Intermediate shares are unobservable (dt=0);
+        # completions shift only in intra-instant dispatch order.
+        ft = self._flush_tick
+        if ft is not None and ft.callbacks is not None:
+            return  # a flush for this instant is already queued
+        self._flush_tick = self.sim.tick(0.0, self._flush)
 
     def _flush(self, ev: Event) -> None:
         self._flush_tick = None
@@ -271,9 +269,9 @@ class RateDevice:
             # the completion into it rather than double-solving.
             self._timer_token += 1
             return
-        # Isolated completions recompute synchronously even in deferred
-        # mode: there is nothing to coalesce with, and the extra flush
-        # tick would make sparse traffic strictly more expensive.
+        # Isolated completions recompute synchronously: there is nothing
+        # to coalesce with, and the extra flush tick would make sparse
+        # traffic strictly more expensive.
         self._timer_token += 1
         self._reschedule_now()
 

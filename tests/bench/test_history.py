@@ -18,7 +18,7 @@ def _report(fig6_speedup: float = 2.0, quick: bool = True) -> dict:
         "macro": {
             "fig6": {
                 "speedup": fig6_speedup,
-                "total_fast_s": 0.02,
+                "total_wall_s": 0.02,
                 "identical": True,
             },
         },
@@ -35,13 +35,13 @@ class TestFlatten:
     def test_speedups_and_wall_seconds(self):
         m = history.flatten_metrics(_report())
         assert m["macro.fig6.speedup"] == 2.0
-        assert m["macro.fig6.total_fast_s"] == 0.02
+        assert m["macro.fig6.total_wall_s"] == 0.02
         assert m["micro.maxmin_solver.speedup"] == 5.0
         assert m["micro.kernel_cancel.run_s"] == 0.03
 
     def test_only_speedups_gate(self):
         assert history.is_gated("macro.fig6.speedup")
-        assert not history.is_gated("macro.fig6.total_fast_s")
+        assert not history.is_gated("macro.fig6.total_wall_s")
         assert not history.is_gated("micro.kernel_cancel.run_s")
 
 
@@ -81,7 +81,7 @@ class TestCompare:
     def test_wall_seconds_never_gate(self):
         old = history.make_entry(_report())
         new = history.make_entry(_report())
-        new["metrics"]["macro.fig6.total_fast_s"] = 100.0  # 5000x slower
+        new["metrics"]["macro.fig6.total_wall_s"] = 100.0  # 5000x slower
         deltas, _ = history.compare(new, [old], threshold=0.25)
         assert not any(d.regressed for d in deltas)
 
@@ -112,7 +112,7 @@ class TestCompare:
         raw = _report()
         raw["macro"]["scalability"] = {
             "speedup": 1.1,
-            "total_fast_s": 4.0,
+            "total_wall_s": 4.0,
             "identical": True,
             "deterministic": True,
         }
@@ -193,7 +193,7 @@ class TestCliGate:
             report.record(
                 "macro",
                 "scalability",
-                {"speedup": 5.0, "total_fast_s": 1.0, "identical": False},
+                {"speedup": 5.0, "total_wall_s": 1.0, "identical": False},
             )
             return report
 
@@ -213,7 +213,7 @@ class TestCliGate:
                 "scalability",
                 {
                     "speedup": 5.0,
-                    "total_fast_s": 1.0,
+                    "total_wall_s": 1.0,
                     "identical": True,
                     "deterministic": False,
                 },

@@ -1,10 +1,12 @@
-"""Golden determinism: experiment exports are solver-independent.
+"""Golden determinism: experiment exports are solver- and engine-independent.
 
-The fast max-min solver is only admissible because it changes *nothing*
-observable: every experiment export must serialise byte-identically
-under the fast and reference solvers, and identically across two
-same-seed runs of the same solver.  These are the end-to-end twins of
-the per-step differential tests in ``tests/simnet``.
+The fast max-min solver and the horizon-batched flow engine are only
+admissible because they change *nothing* observable: every experiment
+export must serialise byte-identically under the fast and reference
+solvers, under the production and reference flow engines
+(``tests/simnet/reference_engine.py``), and identically across two
+same-seed runs.  These are the end-to-end twins of the per-step
+differential tests in ``tests/simnet``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.simnet.network import use_solver
+from tests.simnet.reference_engine import use_reference_engine
 
 
 def _fig6_export(size_gb=1.0, seed=2011):
@@ -45,6 +48,11 @@ class TestFig6Golden:
         with use_solver("reference"):
             ref = _fig6_export()
         assert fast == ref
+
+    def test_matches_reference_engine_bit_for_bit(self, monkeypatch):
+        fast = _fig6_export()
+        use_reference_engine(monkeypatch)
+        assert _fig6_export() == fast
 
     def test_same_seed_rerun_is_identical(self):
         assert _fig6_export() == _fig6_export()

@@ -3,7 +3,7 @@
 The fleet page is pure server-rendered HTML around one JSON island —
 no JS — so the tests assert on the island payload and the rendered
 tables.  The sweep-browser tests pin the ``BENCH_scalability.json``
-discovery path: the per-node speedups chart like a CSV sweep and gate
+discovery path: the per-node wall times chart like a CSV sweep and gate
 failures / history regressions surface in the alerts panel.
 """
 
@@ -87,18 +87,16 @@ class TestFleetPage:
 
 
 class TestSweepBenchDiscovery:
-    def _payload(self, identical=True, deterministic=True):
+    def _payload(self, deterministic=True):
         leg = {
-            "vectorized_s": 1.0, "reference_s": 4.0, "speedup": 4.0,
-            "identical": identical, "deterministic": deterministic,
-            "events_vectorized": 10, "events_reference": 10,
+            "wall_s": 1.0, "events": 10, "deterministic": deterministic,
             "sim_elapsed_s": 5.0,
         }
         return {
             "seed": 2011, "node_counts": [200, 500],
             "per_nodes": {"200": {"single_job": dict(leg)},
                           "500": {"single_job": dict(leg)}},
-            "identical": identical, "deterministic": deterministic,
+            "deterministic": deterministic,
         }
 
     def test_scalability_json_flattens_into_a_chartable_table(self, tmp_path):
@@ -107,16 +105,16 @@ class TestSweepBenchDiscovery:
         )
         data = build_sweep_data(results_dir=tmp_path)
         table = data["csv"]["BENCH_scalability.json"]
-        assert table["header"] == ["nodes", "single_job.speedup"]
+        assert table["header"] == ["nodes", "single_job.wall_s"]
         assert [r[0] for r in table["rows"]] == ["200", "500"]
         assert data["alerts"] == []
 
     def test_gate_failures_surface_as_alerts(self, tmp_path):
         (tmp_path / "BENCH_scalability.json").write_text(
-            json.dumps(self._payload(identical=False))
+            json.dumps(self._payload(deterministic=False))
         )
         data = build_sweep_data(results_dir=tmp_path)
-        assert any("diverged" in a for a in data["alerts"])
+        assert any("not deterministic" in a for a in data["alerts"])
 
     def test_history_speedup_regression_surfaces_as_alert(self, tmp_path):
         hist = tmp_path / "BENCH_history.jsonl"

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simnet.cluster import Cluster, ClusterSpec, paper_cluster
 from repro.simnet.kernel import Simulator
-from repro.simnet.trace import Tracer
 from repro.util.units import GiB, MiB
 
 
@@ -106,26 +105,3 @@ class TestCluster:
         sim.process(proc(sim))
         assert sim.run() == pytest.approx(1.5)
 
-
-class TestTracer:
-    def test_record_and_filter(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-
-        def proc(sim):
-            tracer.record("task", "map0:start")
-            yield sim.timeout(3.0)
-            tracer.record("task", "map0:end")
-            tracer.record("other", "noise")
-
-        sim.process(proc(sim))
-        sim.run()
-        assert len(list(tracer.by_category("task"))) == 2
-        assert tracer.spans("task") == {"map0": (0.0, 3.0)}
-
-    def test_disabled_tracer_records_nothing(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.enabled = False
-        tracer.record("x", "y")
-        assert tracer.events == []

@@ -1,5 +1,5 @@
 """Differential + property tests pinning the fast solver AND the
-vectorized flow engine.
+horizon-batched flow engine.
 
 Two independent fast paths must reproduce the reference **bit-for-bit**
 — same divisions, same epsilon-tie choices, same floats — under
@@ -8,11 +8,11 @@ flaps, capacity changes and partitions:
 
 * the fast max-min solver (`Network._maxmin_rates_fast`) against the
   from-scratch reference solver, checked synchronously at every op;
-* the vectorized horizon-batching engine (dense slot arrays, deferred
+* the production horizon-batching engine (dense slot lists, deferred
   same-instant solve flush, pooled completion ticks) against the
-  scalar reference engine, checked by replaying identical op sequences
-  under both and comparing every checkpoint's rates and the final
-  delivered-byte counters exactly.
+  test-only scalar oracle ``ReferenceNetwork``, checked by replaying
+  identical op sequences under both and comparing every checkpoint's
+  rates and the final delivered-byte counters exactly.
 
 Max-min structural invariants (capacity respected, caps respected,
 every uncapped-below-cap flow has a saturated bottleneck where it gets
@@ -30,33 +30,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet import network as network_mod
-from repro.simnet.engine import HAVE_NUMPY, use_engine, validate_engine
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import DEFAULT_SOLVER, Network, use_solver
+from tests.simnet.reference_engine import ReferenceNetwork
 
 NODES = 5
 REL_TOL = 1e-6
 
-#: Engine sweep: the scalar oracle always runs; the vectorized engine
-#: runs twice — once with the small-n scalar-loop slot path (the
-#: default below ``_BULK_N`` flows) and once with ``_BULK_N`` pinned to
-#: 1 so every slot op takes the whole-array numpy branch.
+#: Engine sweep: the production engine and the scalar oracle.
+ENGINES = {"reference": ReferenceNetwork, "production": Network}
 ENGINE_CASES = [
-    pytest.param("reference", None, id="ref-engine"),
-    pytest.param("vectorized", None, id="vec-engine"),
-    pytest.param(
-        "vectorized",
-        1,
-        id="vec-engine-bulk",
-        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
-    ),
+    pytest.param("reference", id="ref-engine"),
+    pytest.param("production", id="vec-engine"),
 ]
 
 
-def _build(engine: str = "vectorized"):
+def _build(engine: str = "production"):
     sim = Simulator()
-    net = Network(sim, solver="fast", engine=engine)
+    net = ENGINES[engine](sim, solver="fast")
     ups, dns = [], []
     for n in range(NODES):
         # Deliberately non-uniform capacities: uniform ones hide
@@ -107,25 +98,13 @@ def _check_maxmin_invariants(net: Network) -> None:
         )
 
 
-def _apply_ops(ops, engine: str = "vectorized", bulk_n=None):
+def _apply_ops(ops, engine: str = "production"):
     """Drive one op sequence under ``engine``.
 
     Returns ``(checkpoints, rate_log, bytes_delivered)`` where
     ``rate_log`` records ``(sim.now, {flow_seq: rate})`` at every
     checkpoint — the exact-comparison payload for cross-engine sweeps.
-    ``bulk_n`` temporarily pins ``network._BULK_N`` (1 forces the numpy
-    whole-array branch even at test-sized flow counts).
     """
-    saved_bulk = network_mod._BULK_N
-    if bulk_n is not None:
-        network_mod._BULK_N = bulk_n
-    try:
-        return _apply_ops_inner(ops, engine)
-    finally:
-        network_mod._BULK_N = saved_bulk
-
-
-def _apply_ops_inner(ops, engine: str):
     sim, net, ups, dns = _build(engine)
     flows: list = []
     checks = 0
@@ -133,7 +112,7 @@ def _apply_ops_inner(ops, engine: str):
 
     def check():
         nonlocal checks
-        # The vectorized engine batches same-instant membership churn
+        # The production engine batches same-instant membership churn
         # into one deferred solve; force it now so standing rates are
         # inspectable synchronously (a timeline no-op — see the hook).
         net._settle_pending()
@@ -213,24 +192,19 @@ _op = st.one_of(
 def test_differential_random_ops(ops):
     """Hypothesis churn, swept across engines AND solvers.
 
-    The scalar run is the oracle: every vectorized run — fast or
-    reference solver, scalar-loop or forced-numpy slot path — must
-    reproduce its checkpoint rates and delivered bytes *exactly* (no
-    tolerance: same IEEE operations, same results).
+    The scalar oracle run is the reference: every production-engine run
+    — fast or reference solver — must reproduce its checkpoint rates
+    and delivered bytes *exactly* (no tolerance: same IEEE operations,
+    same results).
     """
     _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
-    sweeps = [("vectorized", None)]
-    if HAVE_NUMPY:
-        sweeps.append(("vectorized", 1))
-    for engine, bulk_n in sweeps:
-        for solver in ("fast", "reference"):
-            with use_solver(solver):
-                _, log, nbytes = _apply_ops(ops, engine=engine, bulk_n=bulk_n)
-            assert log == ref_log, (
-                f"engine={engine} solver={solver} bulk_n={bulk_n} "
-                "diverged from the reference engine"
-            )
-            assert nbytes == ref_bytes
+    for solver in ("fast", "reference"):
+        with use_solver(solver):
+            _, log, nbytes = _apply_ops(ops, engine="production")
+        assert log == ref_log, (
+            f"solver={solver} diverged from the reference engine"
+        )
+        assert nbytes == ref_bytes
 
 
 def _seeded_ops(seed: int, count: int):
@@ -265,31 +239,29 @@ def _seeded_ops(seed: int, count: int):
     return ops
 
 
-@pytest.mark.parametrize("engine,bulk_n", ENGINE_CASES)
+@pytest.mark.parametrize("engine", ENGINE_CASES)
 @pytest.mark.parametrize("seed", [2011, 2012, 2013])
-def test_differential_seeded_churn(seed, engine, bulk_n):
-    checks, _, _ = _apply_ops(_seeded_ops(seed, 60), engine=engine, bulk_n=bulk_n)
+def test_differential_seeded_churn(seed, engine):
+    checks, _, _ = _apply_ops(_seeded_ops(seed, 60), engine=engine)
     assert checks >= 60
 
 
 @pytest.mark.parametrize("seed", [2011, 2013])
 def test_cross_engine_rates_and_bytes_exact(seed):
-    """Seeded churn: vectorized checkpoints == scalar checkpoints, exactly."""
+    """Seeded churn: production checkpoints == oracle checkpoints, exactly."""
     ops = _seeded_ops(seed, 80)
     _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
-    _, vec_log, vec_bytes = _apply_ops(ops, engine="vectorized")
+    _, vec_log, vec_bytes = _apply_ops(ops, engine="production")
     assert vec_log == ref_log
     assert vec_bytes == ref_bytes
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine,bulk_n", ENGINE_CASES)
+@pytest.mark.parametrize("engine", ENGINE_CASES)
 @pytest.mark.parametrize("seed", [7, 40, 1337])
-def test_differential_seeded_churn_long(seed, engine, bulk_n):
+def test_differential_seeded_churn_long(seed, engine):
     """Long churn crosses the BFS population threshold both ways."""
-    checks, _, _ = _apply_ops(
-        _seeded_ops(seed, 400), engine=engine, bulk_n=bulk_n
-    )
+    checks, _, _ = _apply_ops(_seeded_ops(seed, 400), engine=engine)
     assert checks >= 400
 
 
@@ -304,18 +276,6 @@ def test_solver_flag_validation():
     assert DEFAULT_SOLVER in ("fast", "reference")
 
 
-def test_engine_flag_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Network(sim, engine="bogus")
-    with pytest.raises(ValueError):
-        validate_engine("bogus")
-    with pytest.raises(ValueError):
-        with use_engine("bogus"):
-            pass
-    assert Network(sim, engine="reference").engine == "reference"
-
-
 def test_use_solver_restores_default():
     sim = Simulator()
     before = Network(sim).solver
@@ -324,17 +284,9 @@ def test_use_solver_restores_default():
     assert Network(sim).solver == before
 
 
-def test_use_engine_restores_default():
-    sim = Simulator()
-    before = Network(sim).engine
-    with use_engine("reference"):
-        assert Network(sim).engine == "reference"
-    assert Network(sim).engine == before
-
-
 def test_skip_counter_counts_clean_solves():
-    # Pinned to the reference engine: its solves are synchronous, so
-    # the counters are inspectable right after the call.
+    # Pinned to the oracle: its solves are synchronous, so the
+    # counters are inspectable right after the call.
     sim, net, ups, dns = _build(engine="reference")
     f = net.transfer_flow((ups[0], dns[1]), 1e6)
     assert net.rate_recomputes == 1
@@ -345,8 +297,8 @@ def test_skip_counter_counts_clean_solves():
 
 
 def test_vectorized_defers_solve_to_one_per_instant():
-    """Same-instant churn under the vectorized engine costs ONE solve."""
-    sim, net, ups, dns = _build(engine="vectorized")
+    """Same-instant churn under the production engine costs ONE solve."""
+    sim, net, ups, dns = _build(engine="production")
     for i in range(6):
         net.transfer_flow((ups[i % NODES], dns[(i + 1) % NODES]), 1e6)
     # All six arrivals landed at t=0; the solve is still queued.

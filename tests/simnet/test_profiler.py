@@ -74,9 +74,9 @@ class TestSelfProfiler:
 
     def test_record_overhead_adds_seconds_without_events(self):
         prof = SelfProfiler()
-        prof.record_overhead("timer-wheel", 0.125)
+        prof.record_overhead("kernel", 0.125)
         snap = prof.snapshot()
-        assert snap["bins"]["timer-wheel"] == {
+        assert snap["bins"]["kernel"] == {
             "events": 0,
             "wall_seconds": 0.125,
         }
