@@ -331,9 +331,12 @@ def _counting_dispatch():
         Simulator.run = run
 
 
-def _timed_legs(fn: Callable[[], str], repeats: int) -> dict:
-    """Run ``fn`` (which returns a sorted-key export) ``max(2, repeats)``
-    times: best wall, dispatched events and the same-seed bit."""
+def _timed_legs(
+    run: Callable[[], object], to_json: Callable[[object], str], repeats: int
+) -> dict:
+    """Run ``run`` ``max(2, repeats)`` times: best wall, dispatched
+    events and the same-seed bit.  Only ``run`` is timed; ``to_json``
+    serialises its result (sorted keys) after the clock stops."""
     wall = float("inf")
     exports = []
     events = 0
@@ -343,9 +346,10 @@ def _timed_legs(fn: Callable[[], str], repeats: int) -> dict:
         gc.collect()
         with _counting_dispatch() as tally:
             t0 = time.perf_counter()
-            exports.append(fn())
+            result = run()
             wall = min(wall, time.perf_counter() - t0)
         events = tally[0]
+        exports.append(to_json(result))
     return {
         "wall_s": wall,
         "events": events,
@@ -366,15 +370,16 @@ def bench_fig6(
     """
     from repro.experiments import fig6_wordcount as f6
 
-    def export(size: float) -> str:
-        res = f6.run(sizes_gb=(size,), seed=seed)
+    def to_json(res) -> str:
         return json.dumps(
             {"hadoop": res.hadoop_metrics, "mpid": res.mpid_metrics},
             sort_keys=True,
         )
 
     per_size = {
-        f"{size:g}": _timed_legs(lambda size=size: export(size), repeats)
+        f"{size:g}": _timed_legs(
+            lambda size=size: f6.run(sizes_gb=(size,), seed=seed), to_json, repeats
+        )
         for size in sizes_gb
     }
     return {
@@ -391,26 +396,26 @@ def bench_network_faults(
     seeds: tuple[int, ...] = (2011,),
     rates: tuple[float, ...] = (120.0, 900.0),
     partitions: tuple[float, ...] = (5.0,),
-    repeats: int = 2,
 ) -> dict:
     """The lossy-network stress sweep: wall, events, determinism."""
     from repro.experiments import network_faults as nf
 
-    def export() -> str:
-        res = nf.run(
+    def run():
+        return nf.run(
             input_gb=input_gb,
             seeds=seeds,
             rates_per_link_hour=rates,
             partition_durations=partitions,
         )
-        return json.dumps(asdict(res), sort_keys=True, default=str)
 
     return {
         "input_gb": input_gb,
         "seeds": list(seeds),
         "rates_per_link_hour": list(rates),
         "partition_durations": list(partitions),
-        **_timed_legs(export, repeats),
+        **_timed_legs(
+            run, lambda res: json.dumps(asdict(res), sort_keys=True, default=str), 2
+        ),
     }
 
 
