@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from repro.obs.analysis import analyze_dag, dags_from_trace, format_analysis
@@ -73,6 +74,13 @@ def _validate(trace_path: Path, dags: dict, pct: float) -> int:
         f"{v.actual:.2f} s  (error {v.error:.1%})"
     )
     return 0
+
+
+def report_unreadable(path, exc: Exception) -> int:
+    """Report a missing, torn or corrupt trace in one line; exit status 1."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,7 +141,10 @@ def main(argv: list[str] | None = None) -> int:
             format_tenant_analysis,
         )
 
-        tracer = load_tracer(args.trace)
+        try:
+            tracer = load_tracer(args.trace)
+        except (OSError, ValueError) as exc:
+            return report_unreadable(args.trace, exc)
         report = analyze_tenants(tracer)
         print(format_tenant_analysis(report))
         if args.json is not None:
@@ -144,16 +155,18 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     pcts = tuple(float(tok) / 100.0 for tok in args.pcts.split(",") if tok.strip())
-    if is_store:
-        from repro.obs.analysis import TraceDAG
-        from repro.obs.store import load_tracer, read_footer
+    try:
+        if is_store:
+            from repro.obs.analysis import TraceDAG
+            from repro.obs.store import load_tracer, read_footer
 
-        footer = read_footer(args.trace)
-        system = (footer or {}).get("system", "sim")
-        tracer = load_tracer(args.trace)
-        dags = {system: TraceDAG.from_tracer(tracer, system)}
-    else:
-        dags = dags_from_trace(args.trace)
+            footer = read_footer(args.trace)
+            system = (footer or {}).get("system", "sim")
+            dags = {system: TraceDAG.from_tracer(load_tracer(args.trace), system)}
+        else:
+            dags = dags_from_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        return report_unreadable(args.trace, exc)
     if args.system is not None:
         if args.system not in dags:
             parser.error(

@@ -1,6 +1,6 @@
 """Self-contained HTML dashboards: run playback and sweep browsing.
 
-Two generators, zero runtime dependencies (no server, no CDN, no
+Three generators, zero runtime dependencies (no server, no CDN, no
 third-party JS — one file you can open from disk or attach to a CI run):
 
 * :func:`render_dashboard` / :func:`write_dashboard` — the **replay
@@ -11,13 +11,9 @@ third-party JS — one file you can open from disk or attach to a CI run):
   sparklines — plus the fault/HDFS markers of the current frame.
 * :func:`render_sweep_browser` / :func:`write_sweep_browser` — the
   **sweep browser**: every CSV the ``experiments`` exporters wrote
-  (``results/*.csv``) charted as lines over its first column, JSON
-  export summaries, ``BENCH_scalability.json`` flattened into a
-  per-node-count wall-time chart, and the bench-history speedup trends
-  from ``benchmarks/*.jsonl`` — the cross-run companion to the
-  single-run replay view.  Gate failures (lost determinism, a speedup
-  ratio dropping past the regression threshold) surface as an alert
-  list and highlight the trend chart.
+  (``results/*.csv``) charted as lines over its first column, plus
+  JSON export summaries — the cross-run companion to the single-run
+  replay view.
 * :func:`render_fleet_page` / :func:`write_fleet_page` — the **fleet
   page**: the :class:`~repro.obs.fleet.FleetSummary` rollup of a
   directory of streamed trace stores as linked tables — per-store
@@ -600,126 +596,22 @@ for (const name of Object.keys(DATA.csv).sort()) {
   root.appendChild(panel);
   drawChart(panel.querySelector('canvas'), table);
 }
-const bench = document.getElementById('bench');
-const entries = DATA.bench;
-if (!entries.length) {
-  bench.parentNode.style.display = 'none';
-} else {
-  const metrics = {};
-  entries.forEach((e, i) => {
-    for (const k in e.metrics) {
-      if (!k.endsWith('.speedup')) continue;
-      (metrics[k] = metrics[k] || []).push([i, e.metrics[k], e]);
-    }
-  });
-  for (const k of Object.keys(metrics).sort()) {
-    const row = document.createElement('div');
-    row.innerHTML = '<h2>' + k + '</h2><canvas></canvas>';
-    bench.appendChild(row);
-    const pts = metrics[k];
-    const c = row.querySelector('canvas');
-    const w = c.clientWidth || 560, h = 60, r2 = devicePixelRatio || 1;
-    c.width = w * r2; c.height = h * r2; c.style.height = h + 'px';
-    const g = c.getContext('2d');
-    g.setTransform(r2, 0, 0, r2, 0, 0);
-    const vmax = Math.max(...pts.map(p => p[1]), 1e-9);
-    g.strokeStyle = css('--s1'); g.lineWidth = 2; g.beginPath();
-    pts.forEach(([i, v], j) => {
-      const x = 8 + (pts.length > 1 ? j / (pts.length - 1) : 0.5) * (w - 70);
-      const y = h - 8 - v / vmax * (h - 20);
-      j === 0 ? g.moveTo(x, y) : g.lineTo(x, y);
-    });
-    g.stroke();
-    g.font = '11px system-ui'; g.textAlign = 'right';
-    g.textBaseline = 'middle';
-    const last = pts[pts.length - 1][1];
-    const prev = pts.length > 1 ? pts[pts.length - 2][1] : last;
-    // regression gate: highlight when the latest ratio dropped >10%
-    const gated = last < prev * 0.9;
-    g.fillStyle = gated ? css('--alert') : css('--ink-2');
-    g.fillText(last.toFixed(2) + 'x' + (gated ? ' ▼' : ''),
-               w - 4, h - 8 - last / vmax * (h - 20));
-  }
-}
 """
-
-
-#: Run-over-run ``.speedup`` drop past this factor is flagged as an alert.
-_BENCH_REGRESSION_THRESHOLD = 0.10
-
-
-def _scalability_table(payload: dict) -> Optional[dict]:
-    """Flatten ``BENCH_scalability.json`` into a chartable wall-time table."""
-    per_nodes = payload.get("per_nodes") or {}
-    if not per_nodes:
-        return None
-    kinds = sorted({k for legs in per_nodes.values() for k in legs})
-    header = ["nodes"] + [f"{kind}.wall_s" for kind in kinds]
-    rows = []
-    for nodes in sorted(per_nodes, key=lambda n: int(n)):
-        legs = per_nodes[nodes]
-        row = [nodes]
-        for kind in kinds:
-            leg = legs.get(kind) or {}
-            wall = leg.get("wall_s")
-            row.append(f"{wall:.4f}" if isinstance(wall, (int, float)) else "")
-        rows.append(row)
-    return {"header": header, "rows": rows, "truncated": False}
-
-
-def _scalability_alerts(name: str, payload: dict) -> list[str]:
-    """Gate failures recorded inside a scalability bench export."""
-    alerts: list[str] = []
-    per_nodes = payload.get("per_nodes") or {}
-    for nodes in sorted(per_nodes, key=lambda n: int(n)):
-        for kind in sorted(per_nodes[nodes]):
-            leg = per_nodes[nodes][kind] or {}
-            if leg.get("deterministic") is False:
-                alerts.append(f"{name}: {kind} @ {nodes} nodes — not deterministic")
-    if payload.get("deterministic") is False:
-        alerts.append(f"{name} — determinism lost (overall)")
-    return alerts
-
-
-def _bench_history_alerts(
-    entries: list[dict], threshold: float = _BENCH_REGRESSION_THRESHOLD
-) -> list[str]:
-    """Consecutive-entry ``.speedup`` regressions across bench history."""
-    alerts: list[str] = []
-    series: dict[str, list[tuple[float, dict]]] = {}
-    for entry in entries:
-        for key, value in (entry.get("metrics") or {}).items():
-            if isinstance(value, (int, float)):
-                series.setdefault(key, []).append((float(value), entry))
-    for key in sorted(series):
-        pts = series[key]
-        for (before, _), (after, entry) in zip(pts, pts[1:]):
-            if before > 0 and after < before * (1.0 - threshold):
-                rev = entry.get("git_rev") or "?"
-                alerts.append(
-                    f"bench {key} regressed {before:.2f}x -> {after:.2f}x "
-                    f"at {rev}"
-                )
-    return alerts
 
 
 def build_sweep_data(
     results_dir: Optional[Union[str, Path]] = None,
-    bench_histories: Iterable[Union[str, Path]] = (),
     max_rows: int = _SWEEP_MAX_ROWS,
 ) -> dict:
     """Collect the sweep browser's payload from files already on disk.
 
     Reads the ``experiments`` CSV/JSON exports in ``results_dir`` (the
     multi-tenant sweep's ``multi_tenant.csv``/``.json`` land here like
-    every other experiment), any bench-history JSONL files, and — when
-    present — ``BENCH_scalability.json``, whose per-node-count legs
-    flatten into a wall-time table charted like a CSV sweep.  Nothing is
-    re-run.  Oversize CSVs are truncated (flagged ``truncated``), JSON
-    exports contribute a shallow summary, and every gate failure or
-    run-over-run speedup regression lands in ``alerts``.
+    every other experiment).  Nothing is re-run.  Oversize CSVs are
+    truncated (flagged ``truncated``) and JSON exports contribute a
+    shallow summary.
     """
-    data: dict = {"csv": {}, "json": {}, "bench": [], "alerts": []}
+    data: dict = {"csv": {}, "json": {}}
     if results_dir is not None:
         results_dir = Path(results_dir)
         for path in sorted(results_dir.glob("*.csv")):
@@ -744,61 +636,19 @@ def build_sweep_data(
                     "experiment": payload.get("experiment"),
                     "keys": sorted(payload)[:24],
                 }
-                if "per_nodes" in payload and path.name.startswith("BENCH_"):
-                    table = _scalability_table(payload)
-                    if table is not None:
-                        data["csv"][path.name] = table
-                    data["alerts"].extend(
-                        _scalability_alerts(path.name, payload)
-                    )
-    for hist in bench_histories:
-        hist = Path(hist)
-        if not hist.exists():
-            continue
-        with hist.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                data["bench"].append(
-                    {
-                        "created_at": entry.get("created_at"),
-                        "git_rev": (entry.get("git_rev") or "")[:10],
-                        "metrics": {
-                            k: v
-                            for k, v in (entry.get("metrics") or {}).items()
-                            if k.endswith(".speedup")
-                        },
-                    }
-                )
-    data["alerts"].extend(_bench_history_alerts(data["bench"]))
     return data
 
 
 def render_sweep_browser(
     sweep_data: dict, title: str = "repro sweep browser"
 ) -> str:
-    """The cross-run page: one chart+table per exported CSV, bench trends."""
+    """The cross-run page: one chart+table per exported CSV."""
     n_csv = len(sweep_data.get("csv", {}))
-    n_bench = len(sweep_data.get("bench", []))
     json_list = "".join(
         f"<li><b>{name}</b> — {meta.get('experiment') or '?'} "
         f"({len(meta.get('keys', []))} top-level keys)</li>"
         for name, meta in sorted(sweep_data.get("json", {}).items())
     )
-    alerts = sweep_data.get("alerts", [])
-    alert_panel = ""
-    if alerts:
-        items = "".join(f"<li>{escape(str(a))}</li>" for a in alerts)
-        alert_panel = (
-            '<div class="panel">'
-            '<h2 style="color:var(--alert)">Regressions &amp; gate failures'
-            f"</h2><ul style=\"color:var(--alert)\">{items}</ul></div>"
-        )
     return f"""<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -809,17 +659,12 @@ def render_sweep_browser(
 </head>
 <body>
 <h1>{title}</h1>
-<div class="sub">{n_csv} exported sweeps &middot; {n_bench} bench history
-entries &middot; generated by repro {__version__}</div>
-{alert_panel}
+<div class="sub">{n_csv} exported sweeps &middot; generated by repro
+{__version__}</div>
 <div id="charts"></div>
 <div class="panel">
   <h2>JSON exports</h2>
   <ul style="color:var(--ink-2)">{json_list or "<li>none found</li>"}</ul>
-</div>
-<div class="panel">
-  <h2>Bench speedup history</h2>
-  <div id="bench"></div>
 </div>
 <div id="tip"></div>
 <script type="application/json" id="sweep-data">{_island(sweep_data)}</script>
@@ -832,12 +677,11 @@ entries &middot; generated by repro {__version__}</div>
 def write_sweep_browser(
     path: Union[str, Path],
     results_dir: Optional[Union[str, Path]] = None,
-    bench_histories: Iterable[Union[str, Path]] = (),
     title: str = "repro sweep browser",
 ) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = build_sweep_data(results_dir, bench_histories)
+    data = build_sweep_data(results_dir)
     path.write_text(render_sweep_browser(data, title=title))
     return path
 

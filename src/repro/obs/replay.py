@@ -477,7 +477,7 @@ def replay_store(
     if t_end is None:
         if footer is None:
             raise ValueError(
-                f"{path}: store has no footer (writer never closed); "
+                "store has no footer (torn, or the writer never closed); "
                 "pass t_end= explicitly"
             )
         t_end = footer["final_time"]

@@ -13,7 +13,7 @@ The target decides where the events come from:
   --stream`` (read chunked; memory stays O(chunk), not O(trace));
 * ``*.json``  — an existing Perfetto ``trace_event`` export;
 * ``sweep``   — no replay at all: build the cross-run sweep browser
-  from ``results/*.csv`` exports and bench history JSONL files;
+  from the ``results/*.csv`` exports;
 * ``fleet <dir>`` — aggregate every closed ``.jsonl`` store under the
   directory (footer scans only — O(footer) per store, never
   O(events)) into the cross-run/cross-tenant fleet page, plus a
@@ -27,10 +27,6 @@ import json
 from pathlib import Path
 
 from repro.util.units import parse_size
-
-#: Bench histories the sweep browser picks up when ``--bench`` is absent.
-_DEFAULT_BENCH = ("BENCH_history.jsonl", "benchmarks/BENCH_baseline.jsonl")
-
 
 def _dump_json(path: Path, replays) -> None:
     payload = {name: r.to_dict() for name, r in replays}
@@ -79,11 +75,6 @@ def main(argv: list[str] | None = None) -> int:
         help="sweep: directory of experiments CSV/JSON exports",
     )
     parser.add_argument(
-        "--bench", type=Path, nargs="*", default=None,
-        help="sweep: bench history JSONL files "
-        f"(default: {', '.join(_DEFAULT_BENCH)} when present)",
-    )
-    parser.add_argument(
         "--root-label", type=str, default=None,
         help="fleet: override the recorded root name (CI byte-stability)",
     )
@@ -118,16 +109,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.target == "sweep":
         out = args.out or Path("sweep.html")
-        bench = (
-            args.bench
-            if args.bench is not None
-            else [p for p in map(Path, _DEFAULT_BENCH) if p.exists()]
-        )
         results = args.results_dir if args.results_dir.is_dir() else None
         if results is None:
             print(f"note: {args.results_dir}/ not found — run "
                   "`python -m repro.experiments.export` first for charts")
-        write_sweep_browser(out, results_dir=results, bench_histories=bench)
+        write_sweep_browser(out, results_dir=results)
         print(f"wrote {out} — open it in a browser")
         return 0
 
@@ -150,14 +136,19 @@ def main(argv: list[str] | None = None) -> int:
             for name, obs in observers
         ]
         title = f"repro replay — {target} {args.size}"
-    elif target.endswith(".jsonl"):
-        r = replay_store(target, buckets=args.buckets)
-        replays = [(r.system, r)]
-        title = f"repro replay — {Path(target).name}"
-    elif target.endswith(".json"):
-        replays = sorted(
-            replays_from_perfetto(target, buckets=args.buckets).items()
-        )
+    elif target.endswith((".jsonl", ".json")):
+        try:
+            if target.endswith(".jsonl"):
+                r = replay_store(target, buckets=args.buckets)
+                replays = [(r.system, r)]
+            else:
+                replays = sorted(
+                    replays_from_perfetto(target, buckets=args.buckets).items()
+                )
+        except (OSError, ValueError) as exc:
+            from repro.obs.analyze_cli import report_unreadable
+
+            return report_unreadable(target, exc)
         if not replays:
             parser.error(f"{target}: no replayable processes found")
         title = f"repro replay — {Path(target).name}"

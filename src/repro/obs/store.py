@@ -241,7 +241,12 @@ class TraceStoreReader:
     def _parse(self, line: str) -> Optional[dict]:
         if not line.strip():
             return None
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(
+                f"torn or corrupt line after {self.events_read} events ({exc.msg})"
+            ) from None
         kind = obj.get("k")
         if kind == "header":
             self.header = obj

@@ -25,7 +25,7 @@ from repro.simnet.kernel import (
 )
 from repro.simnet.profiler import SelfProfiler, deterministic_view
 from repro.simnet.resources import SlotPool, RateDevice, Store
-from repro.simnet.network import Link, Network, Flow, FlowFailed, use_solver
+from repro.simnet.network import Link, Network, Flow, FlowFailed
 from repro.simnet.cluster import Node, Cluster, ClusterSpec, paper_cluster
 from repro.simnet.faults import (
     FaultPlan,
@@ -58,7 +58,6 @@ __all__ = [
     "Network",
     "Flow",
     "FlowFailed",
-    "use_solver",
     "Node",
     "Cluster",
     "ClusterSpec",

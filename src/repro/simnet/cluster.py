@@ -17,6 +17,8 @@ from repro.simnet.network import Flow, Link, Network
 from repro.simnet.resources import RateDevice, SlotPool
 from repro.util.units import GiB, MiB
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class ClusterSpec:
@@ -35,14 +37,20 @@ class ClusterSpec:
     disk_seek: float = 8e-3
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
+        # Every check is written so that NaN fails it: a NaN latency or
+        # seek time otherwise stalls a job in an endless heartbeat loop.
+        if not 1 <= self.num_nodes < _INF:
             raise ValueError(f"need at least one node, got {self.num_nodes}")
-        if self.cores_per_node < 1:
+        if not 1 <= self.cores_per_node < _INF:
             raise ValueError(f"need at least one core, got {self.cores_per_node}")
-        if min(self.link_bandwidth, self.disk_bandwidth) <= 0:
-            raise ValueError("bandwidths must be positive")
-        if min(self.link_latency, self.disk_seek) < 0:
-            raise ValueError("latencies may not be negative")
+        for name in ("memory_bytes", "link_bandwidth", "disk_bandwidth"):
+            value = getattr(self, name)
+            if not 0 < value < _INF:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("link_latency", "disk_seek"):
+            value = getattr(self, name)
+            if not 0 <= value < _INF:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
 
 
 @dataclass

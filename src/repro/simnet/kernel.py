@@ -401,7 +401,7 @@ class Simulator:
         self._seq = 0
         self._failed_events: list[Event] = []
         #: Dispatch volume counters (plain ints — free when obs is off);
-        #: the bench harness derives events/sec from these.
+        #: the repository benchmark derives ns/event from these.
         self.events_dispatched = 0
         self.events_cancelled = 0
         # -- tick arena ------------------------------------------------------

@@ -13,23 +13,18 @@ from many mappers saturate node downlinks.
 Latency is charged once per flow (propagation + protocol setup, supplied
 by the caller) before the bytes begin to flow.
 
-Two solvers produce the allocation:
-
-* ``reference`` — the original full progressive-filling pass over every
-  link on every flow arrival/departure (O(links × flows) per event).
-* ``fast`` (the default) — an incremental solver that tracks *dirty*
-  links, re-solves only the connected component of flows reachable from
-  a change, short-circuits the single-bottleneck star case, and batches
-  equal-cap freezes.  Progressive filling decomposes over connected
-  components (freezing a flow only alters residuals on its own path), so
-  the fast path reproduces the reference shares **bit-for-bit** — an
-  equivalence pinned by the property/differential tests in
-  ``tests/simnet/test_maxmin_differential.py`` and the golden-export
-  tests in ``tests/experiments/test_golden_fastpath.py``.
-
-Pick the solver per network (``Network(sim, solver="reference")``), per
-process (the ``REPRO_MAXMIN_SOLVER`` environment variable), or lexically
-(:func:`use_solver`).
+One incremental solver produces the allocation.  It tracks *dirty*
+links, re-solves only the connected component of flows reachable from
+a change, short-circuits the single-bottleneck star case, and batches
+equal-cap freezes.  Progressive filling decomposes over connected
+components (freezing a flow only alters residuals on its own path), so
+it reproduces a full from-scratch progressive-filling pass over every
+link **bit-for-bit**.  That from-scratch solver is a test-only oracle
+(``ReferenceSolverNetwork`` in ``tests/simnet/reference_engine.py``);
+the property/differential tests in
+``tests/simnet/test_maxmin_differential.py`` and the golden-export
+tests in ``tests/experiments/test_golden_fastpath.py`` pin the two to
+identical shares.
 
 One advance path moves the flow population between solves: horizon
 batching.  Active flows live in dense slot lists of remaining bytes and
@@ -41,57 +36,28 @@ accounting is settled lazily (piecewise-constant rate sums), which is
 float-equivalent to per-flow eager accounting but not bit-identical —
 link utilization is reporting, not part of the simulated timeline.
 
-A test-only oracle with per-flow eager accounting and a synchronous
-solve (``tests/simnet/reference_engine.py``) subclasses :class:`Network`
-and overrides the advance, join/leave, reallocation and timer methods;
-the differential and golden tests pin both to bit-identical timelines
-(rates, completion instants, delivered bytes, event order).
+A second test-only oracle in the same module, ``ReferenceNetwork``,
+keeps per-flow eager accounting and a synchronous solve; it subclasses
+:class:`Network` and overrides the advance, join/leave, reallocation
+and timer methods.  The differential and golden tests pin production
+and oracle to bit-identical timelines (rates, completion instants,
+delivered bytes, event order).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from repro.simnet.kernel import Event, Simulator
 
-_SOLVERS = ("fast", "reference")
-
-# Sort keys for the fast solver, hoisted: attrgetter beats a lambda in
-# the per-solve sorts and matches the reference's ordering exactly
+# Sort keys for the solver, hoisted: attrgetter beats a lambda in the
+# per-solve sorts and matches the reference's ordering exactly
 # (links by name; flows by (rate_cap, seq)).
 _LINK_NAME = attrgetter("name")
 _CAP_SEQ = attrgetter("rate_cap", "seq")
 
 _INF = float("inf")
-
-#: Process-wide default for :class:`Network` instances constructed without
-#: an explicit ``solver``.  Overridable via the environment for whole-run
-#: A/B comparisons without touching code.
-DEFAULT_SOLVER = os.environ.get("REPRO_MAXMIN_SOLVER", "fast")
-
-
-@contextmanager
-def use_solver(solver: str):
-    """Run a block with a different default max-min solver.
-
-    The bench harness and the golden differential tests use this to
-    re-run whole experiments under the reference solver::
-
-        with use_solver("reference"):
-            result = fig6_wordcount.run()
-    """
-    global DEFAULT_SOLVER
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown max-min solver {solver!r} (want one of {_SOLVERS})")
-    prev, DEFAULT_SOLVER = DEFAULT_SOLVER, solver
-    try:
-        yield
-    finally:
-        DEFAULT_SOLVER = prev
-
 
 class FlowFailed(RuntimeError):
     """Raised in processes waiting on a flow that was killed in flight.
@@ -226,14 +192,8 @@ class Network:
 
     _EPS = 1e-9
 
-    def __init__(self, sim: Simulator, solver: Optional[str] = None):
-        solver = DEFAULT_SOLVER if solver is None else solver
-        if solver not in _SOLVERS:
-            raise ValueError(
-                f"unknown max-min solver {solver!r} (want one of {_SOLVERS})"
-            )
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver
         self._links: dict[str, Link] = {}
         self._flows: set[Flow] = set()
         self._last_t = 0.0
@@ -723,74 +683,6 @@ class Network:
                 link._settle(now)
 
     def _maxmin_rates(self) -> None:
-        """Recompute the max-min fair allocation with the configured solver."""
-        if self.solver == "fast":
-            self._maxmin_rates_fast()
-        else:
-            self._dirty.clear()
-            if self._flows:
-                self.rate_recomputes += 1
-                self.rate_recompute_flows += len(self._flows)
-                self._settle_component(self._flows)
-                self._maxmin_rates_reference()
-                self._sync_rates()
-
-    def _maxmin_rates_reference(self) -> None:
-        """Progressive filling over all links touched by active flows.
-
-        Per-flow rate caps participate as virtual bottlenecks: whenever
-        the smallest unfrozen cap is tighter than the tightest link
-        share, that flow freezes at its cap (releasing link capacity to
-        the others) — the standard capped max-min extension.
-
-        This is the slow reference the fast path is pinned against; it
-        recomputes every flow from scratch on every call.
-        """
-        unfrozen: set[Flow] = set(self._flows)
-        residual: dict[Link, float] = {}
-        for flow in self._flows:
-            flow.rate = 0.0
-            for link in flow.path:
-                residual.setdefault(link, link.capacity)
-
-        while unfrozen:
-            # Bottleneck link: smallest per-flow fair share among links that
-            # still carry unfrozen flows.
-            best_link: Optional[Link] = None
-            best_share = float("inf")
-            # Sort by name so epsilon-ties resolve the same way every run.
-            for link in sorted(residual, key=lambda l: l.name):
-                n = sum(1 for f in link._flows if f in unfrozen)
-                if n == 0:
-                    continue
-                share = residual[link] / n
-                if share < best_share - self._EPS:
-                    best_share = share
-                    best_link = link
-            # Tightest protocol cap among unfrozen flows.
-            capped = min(unfrozen, key=lambda f: (f.rate_cap, f.seq))
-            if capped.rate_cap < best_share:
-                rate = capped.rate_cap
-                capped.rate = rate
-                unfrozen.discard(capped)
-                for link in capped.path:
-                    residual[link] = max(0.0, residual[link] - rate)
-                continue
-            if best_link is None:
-                # Remaining flows traverse no constrained link (shouldn't
-                # happen for non-empty paths); cap-bound or effectively
-                # infinite.
-                for flow in unfrozen:
-                    flow.rate = min(flow.rate_cap, 1e18)
-                break
-            froze = [f for f in best_link._flows if f in unfrozen]
-            for flow in froze:
-                flow.rate = best_share
-                unfrozen.discard(flow)
-                for link in flow.path:
-                    residual[link] = max(0.0, residual[link] - best_share)
-
-    def _maxmin_rates_fast(self) -> None:
         """Incremental max-min: re-solve only the dirty connected component.
 
         Progressive filling decomposes over connected components of the
@@ -854,8 +746,9 @@ class Network:
     def _solve_component(self, flows: set[Flow]) -> None:
         """Progressive filling restricted to one closed component.
 
-        Bit-for-bit equal to :meth:`_maxmin_rates_reference` on the same
-        flows: identical divisions, subtraction order and epsilon-tie
+        Bit-for-bit equal to a from-scratch progressive-filling pass
+        over the same flows (the test oracle's reference solver):
+        identical divisions, subtraction order and epsilon-tie
         resolution — only the bookkeeping is cheaper.  The measured shape
         of Figure-6 components (a few flows over 2–8 links, ~96 % of them
         with no rate caps at all) drives the structure: the uncapped case

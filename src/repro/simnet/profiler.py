@@ -1,20 +1,21 @@
 """Wall-clock self-profiler for the simulation kernel.
 
-``BENCH_scalability`` showed heartbeat dispatch dominating the 1000-node
-runs, but only as a guess from event counts — nothing attributed *host*
-time to event categories.  :class:`SelfProfiler` closes that gap: when
-attached to a :class:`~repro.simnet.kernel.Simulator` it bins the wall
-time of every dispatched event by what the event was for (heartbeat,
-flow, scheduler, task, and everything-else kernel work, heap pop/peek
-bookkeeping included), so "heartbeats dominate" becomes a measured breakdown future
-perf PRs can gate on.
+Event counts suggested heartbeat dispatch dominates the 1000-node
+runs, but nothing attributed *host* time to event categories.
+:class:`SelfProfiler` closes that gap: when attached to a
+:class:`~repro.simnet.kernel.Simulator` it bins the wall time of every
+dispatched event by what the event was for (heartbeat, flow,
+scheduler, task, and everything-else kernel work, heap pop/peek
+bookkeeping included), so "heartbeats dominate" becomes a measured
+breakdown.
 
-Two properties the bench harness depends on:
+Two properties the repository benchmark (``perfbench/run.py
+--trace 1``) depends on:
 
 * **zero cost when off** — the profiler is a single ``is not None``
   test at the top of ``Simulator.run()``; with no profiler attached the
   kernel's hot loop is byte-for-byte the pre-profiler code path, so
-  timed bench legs are unpolluted.
+  timed runs are unpolluted.
 * **deterministic event counts** — the per-bin ``events`` counters
   depend only on the simulation (same seed → same counts);
   ``deterministic_view`` strips the wall-clock fields so same-seed
@@ -100,8 +101,8 @@ class SelfProfiler:
     ) -> None:
         self.clock: Callable[[], float] = clock or time.perf_counter
         #: Free-form tag for the run this profile covers (e.g.
-        #: ``"multi_tenant@500"``); carried into the snapshot so bench
-        #: exports can group breakdowns per leg.
+        #: ``"multi_tenant@500"``); carried into the snapshot so
+        #: reports can group breakdowns per leg.
         self.leg = leg
         #: bin -> [events, wall_seconds]
         self.bins: dict[str, list] = {b: [0, 0.0] for b in BINS}

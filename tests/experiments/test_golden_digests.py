@@ -23,7 +23,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.bench.engine import _scalability_multi_tenant, _scalability_single_job
+from tests.experiments.scalability_cells import (
+    scalability_multi_tenant,
+    scalability_single_job,
+)
 
 NUMPY_AT_PIN = "2.4.6"
 
@@ -70,12 +73,12 @@ def test_network_faults_quick():
 
 
 def test_scalability_single_job_100():
-    _, export, _, _ = _scalability_single_job(100, seed=2011, mib_per_worker=16)
+    export, _ = scalability_single_job(100, seed=2011, mib_per_worker=16)
     _check("scalability_single_job_100", export)
 
 
 def test_scalability_multi_tenant_100():
-    _, export, _, _ = _scalability_multi_tenant(100, seed=2011, horizon=120.0)
+    export, _ = scalability_multi_tenant(100, seed=2011, horizon=120.0)
     _check("scalability_multi_tenant_100", export)
 
 

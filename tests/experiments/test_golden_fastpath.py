@@ -1,12 +1,12 @@
 """Golden determinism: experiment exports are solver- and engine-independent.
 
-The fast max-min solver and the horizon-batched flow engine are only
-admissible because they change *nothing* observable: every experiment
-export must serialise byte-identically under the fast and reference
-solvers, under the production and reference flow engines
-(``tests/simnet/reference_engine.py``), and identically across two
-same-seed runs.  These are the end-to-end twins of the per-step
-differential tests in ``tests/simnet``.
+The incremental max-min solver and the horizon-batched flow engine are
+only admissible because they change *nothing* observable: every
+experiment export must serialise byte-identically under the production
+and reference solvers, under the production and reference flow engines
+(both oracles live in ``tests/simnet/reference_engine.py``), and
+identically across two same-seed runs.  These are the end-to-end twins
+of the per-step differential tests in ``tests/simnet``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,11 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.simnet.network import use_solver
-from tests.simnet.reference_engine import use_reference_engine
+from tests.experiments.scalability_cells import (
+    scalability_multi_tenant,
+    scalability_single_job,
+)
+from tests.simnet.reference_engine import use_reference_engine, use_reference_solver
 
 
 def _fig6_export(size_gb=1.0, seed=2011):
@@ -43,11 +46,10 @@ def _network_faults_export(seed=2011):
 
 
 class TestFig6Golden:
-    def test_fast_matches_reference_bit_for_bit(self):
+    def test_fast_matches_reference_bit_for_bit(self, monkeypatch):
         fast = _fig6_export()
-        with use_solver("reference"):
-            ref = _fig6_export()
-        assert fast == ref
+        use_reference_solver(monkeypatch)
+        assert _fig6_export() == fast
 
     def test_matches_reference_engine_bit_for_bit(self, monkeypatch):
         fast = _fig6_export()
@@ -63,19 +65,45 @@ class TestFig6Golden:
 
 
 class TestNetworkFaultsGolden:
-    def test_fast_matches_reference_bit_for_bit(self):
+    def test_fast_matches_reference_bit_for_bit(self, monkeypatch):
         fast = _network_faults_export()
-        with use_solver("reference"):
-            ref = _network_faults_export()
-        assert fast == ref
+        use_reference_solver(monkeypatch)
+        assert _network_faults_export() == fast
+
+    def test_matches_reference_engine_bit_for_bit(self, monkeypatch):
+        fast = _network_faults_export()
+        use_reference_engine(monkeypatch)
+        assert _network_faults_export() == fast
 
     def test_same_seed_rerun_is_identical(self):
         assert _network_faults_export() == _network_faults_export()
 
 
 @pytest.mark.slow
-def test_fig6_10gb_fast_matches_reference():
+def test_fig6_10gb_fast_matches_reference(monkeypatch):
     fast = _fig6_export(size_gb=10.0)
-    with use_solver("reference"):
-        ref = _fig6_export(size_gb=10.0)
-    assert fast == ref
+    use_reference_solver(monkeypatch)
+    assert _fig6_export(size_gb=10.0) == fast
+
+
+@pytest.mark.slow
+class TestScalabilityGolden:
+    """The two 100-node scalability cells export bit-for-bit identical
+    results under the production flow engine and the reference engine."""
+
+    NODES = 100
+
+    def test_single_job_exports_bit_for_bit(self, monkeypatch):
+        export, events = scalability_single_job(self.NODES, seed=2011, mib_per_worker=16)
+        use_reference_engine(monkeypatch)
+        ref_export, ref_events = scalability_single_job(
+            self.NODES, seed=2011, mib_per_worker=16
+        )
+        assert export == ref_export
+        assert ref_events > 0 and events > 0
+
+    def test_multi_tenant_exports_bit_for_bit(self, monkeypatch):
+        export, _ = scalability_multi_tenant(self.NODES, seed=2011, horizon=120.0)
+        use_reference_engine(monkeypatch)
+        ref_export, _ = scalability_multi_tenant(self.NODES, seed=2011, horizon=120.0)
+        assert export == ref_export

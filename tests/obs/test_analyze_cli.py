@@ -85,3 +85,39 @@ class TestAnalyzeStore:
     def test_tenants_mode_rejects_perfetto_traces(self, fig6_trace):
         with pytest.raises(SystemExit):
             analyze_main([str(fig6_trace), "--tenants"])
+
+
+@pytest.fixture(scope="module")
+def torn_traces(tenant_store, fig6_trace, tmp_path_factory):
+    """The store and the Perfetto trace cut in half, mid-line."""
+    out = tmp_path_factory.mktemp("torn")
+    torn = {}
+    for name, src in (("store.jsonl", tenant_store), ("trace.json", fig6_trace)):
+        data = src.read_bytes()
+        torn[name] = out / name
+        torn[name].write_bytes(data[: len(data) // 2])
+    return torn
+
+
+class TestTornTraces:
+    """A torn artifact is one ``error:`` line and a non-zero exit."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["analyze"], "store.jsonl"),
+            (["analyze", "--tenants"], "store.jsonl"),
+            (["replay"], "store.jsonl"),
+            (["analyze"], "trace.json"),
+            (["replay"], "trace.json"),
+        ],
+        ids=["analyze-store", "tenants-store", "replay-store", "analyze-trace", "replay-trace"],
+    )
+    def test_one_line_error(self, torn_traces, tmp_path, monkeypatch, capsys, argv, name):
+        from repro.__main__ import main
+
+        monkeypatch.chdir(tmp_path)  # a replay that wrongly succeeds writes here
+        path = torn_traces[name]
+        assert main(argv + [str(path)]) != 0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

@@ -125,25 +125,13 @@ class TestSweepBrowser:
         (results / "notes.json").write_text("not json {")
         return tmp_path
 
-    def test_sweep_data_collects_csv_json_bench(self, results_dir):
-        hist = results_dir / "hist.jsonl"
-        hist.write_text(
-            json.dumps({"created_at": "t0", "git_rev": "a" * 40,
-                        "metrics": {"macro.fig6.speedup": 2.5,
-                                    "macro.fig6.fast_s": 0.1}}) + "\n"
-            "\n"  # blank lines are skipped
-            + json.dumps({"created_at": "t1", "git_rev": "b" * 40,
-                          "metrics": {"macro.fig6.speedup": 2.6}}) + "\n"
-        )
-        data = build_sweep_data(results_dir / "results", [hist])
+    def test_sweep_data_collects_csv_and_json(self, results_dir):
+        data = build_sweep_data(results_dir / "results")
         table = data["csv"]["fig6_wordcount.csv"]
         assert table["header"] == ["size_gb", "hadoop_s", "mpid_s"]
         assert len(table["rows"]) == 3 and not table["truncated"]
         assert data["json"]["fig6_wordcount.json"]["experiment"] == "fig6"
         assert "notes.json" not in data["json"]  # unparseable is skipped
-        # Only gated speedup metrics chart; wall-clock noise stays out.
-        assert [e["metrics"] for e in data["bench"]] == [
-            {"macro.fig6.speedup": 2.5}, {"macro.fig6.speedup": 2.6}]
 
     def test_oversize_csv_truncates_with_flag(self, tmp_path):
         results = tmp_path / "results"
@@ -160,11 +148,10 @@ class TestSweepBrowser:
         html = out.read_text()
         data = extract_data_island(html, "sweep-data")
         assert "fig6_wordcount.csv" in data["csv"]
-        assert 'id="charts"' in html and 'id="bench"' in html
+        assert 'id="charts"' in html
         assert "<table" in render_sweep_browser(data)  # table view exists
 
     def test_missing_inputs_yield_empty_but_valid_page(self, tmp_path):
-        html = render_sweep_browser(build_sweep_data(
-            None, [tmp_path / "absent.jsonl"]))
+        html = render_sweep_browser(build_sweep_data(None))
         data = extract_data_island(html, "sweep-data")
-        assert data == {"csv": {}, "json": {}, "bench": [], "alerts": []}
+        assert data == {"csv": {}, "json": {}}

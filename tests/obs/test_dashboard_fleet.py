@@ -1,20 +1,16 @@
-"""Fleet page and sweep-browser bench discovery (dashboard satellites).
+"""Fleet page (dashboard satellite).
 
 The fleet page is pure server-rendered HTML around one JSON island —
 no JS — so the tests assert on the island payload and the rendered
-tables.  The sweep-browser tests pin the ``BENCH_scalability.json``
-discovery path: the per-node wall times chart like a CSV sweep and gate
-failures / history regressions surface in the alerts panel.
+tables.
 """
 
 import json
 
 from repro.obs.dashboard import (
-    build_sweep_data,
     extract_data_island,
     render_fleet_page,
     write_fleet_page,
-    write_sweep_browser,
 )
 from repro.obs.fleet import fleet_summary
 
@@ -85,56 +81,3 @@ class TestFleetPage:
         html = render_fleet_page(fleet_summary(_stores(), root_label="x"))
         assert "http://" not in html and "https://" not in html
 
-
-class TestSweepBenchDiscovery:
-    def _payload(self, deterministic=True):
-        leg = {
-            "wall_s": 1.0, "events": 10, "deterministic": deterministic,
-            "sim_elapsed_s": 5.0,
-        }
-        return {
-            "seed": 2011, "node_counts": [200, 500],
-            "per_nodes": {"200": {"single_job": dict(leg)},
-                          "500": {"single_job": dict(leg)}},
-            "deterministic": deterministic,
-        }
-
-    def test_scalability_json_flattens_into_a_chartable_table(self, tmp_path):
-        (tmp_path / "BENCH_scalability.json").write_text(
-            json.dumps(self._payload())
-        )
-        data = build_sweep_data(results_dir=tmp_path)
-        table = data["csv"]["BENCH_scalability.json"]
-        assert table["header"] == ["nodes", "single_job.wall_s"]
-        assert [r[0] for r in table["rows"]] == ["200", "500"]
-        assert data["alerts"] == []
-
-    def test_gate_failures_surface_as_alerts(self, tmp_path):
-        (tmp_path / "BENCH_scalability.json").write_text(
-            json.dumps(self._payload(deterministic=False))
-        )
-        data = build_sweep_data(results_dir=tmp_path)
-        assert any("not deterministic" in a for a in data["alerts"])
-
-    def test_history_speedup_regression_surfaces_as_alert(self, tmp_path):
-        hist = tmp_path / "BENCH_history.jsonl"
-        lines = [
-            {"created_at": "t0", "git_rev": "aaaa",
-             "metrics": {"macro.fig6.speedup": 4.0}},
-            {"created_at": "t1", "git_rev": "bbbb",
-             "metrics": {"macro.fig6.speedup": 2.0}},
-        ]
-        hist.write_text("\n".join(json.dumps(e) for e in lines) + "\n")
-        data = build_sweep_data(bench_histories=[hist])
-        assert any("regressed" in a for a in data["alerts"])
-
-    def test_alert_panel_renders_into_the_page(self, tmp_path):
-        (tmp_path / "BENCH_scalability.json").write_text(
-            json.dumps(self._payload(deterministic=False))
-        )
-        out = tmp_path / "sweep.html"
-        write_sweep_browser(out, results_dir=tmp_path)
-        html = out.read_text()
-        data = extract_data_island(html, "sweep-data")
-        assert data["alerts"]
-        assert "not deterministic" in html

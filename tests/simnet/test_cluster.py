@@ -24,6 +24,23 @@ class TestSpec:
         with pytest.raises(ValueError):
             ClusterSpec(link_latency=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1], ids=["nan", "inf", "neg"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "num_nodes",
+            "cores_per_node",
+            "memory_bytes",
+            "link_bandwidth",
+            "link_latency",
+            "disk_bandwidth",
+            "disk_seek",
+        ],
+    )
+    def test_non_finite_or_negative_field_is_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            ClusterSpec(**{field: value})
+
 
 class TestCluster:
     def test_paper_cluster_shape(self):

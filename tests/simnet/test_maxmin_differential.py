@@ -6,8 +6,9 @@ Two independent fast paths must reproduce the reference **bit-for-bit**
 arbitrary interleavings of flow arrivals, departures, kills, link
 flaps, capacity changes and partitions:
 
-* the fast max-min solver (`Network._maxmin_rates_fast`) against the
-  from-scratch reference solver, checked synchronously at every op;
+* the incremental max-min solver (`Network._maxmin_rates`) against the
+  from-scratch reference solver (`maxmin_rates_reference` in
+  ``reference_engine.py``), checked synchronously at every op;
 * the production horizon-batching engine (dense slot lists, deferred
   same-instant solve flush, pooled completion ticks) against the
   test-only scalar oracle ``ReferenceNetwork``, checked by replaying
@@ -31,14 +32,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.kernel import Simulator
-from repro.simnet.network import DEFAULT_SOLVER, Network, use_solver
-from tests.simnet.reference_engine import ReferenceNetwork
+from repro.simnet.network import Network
+from tests.simnet.reference_engine import (
+    ReferenceNetwork,
+    ReferenceSolverNetwork,
+    maxmin_rates_reference,
+)
 
 NODES = 5
 REL_TOL = 1e-6
 
-#: Engine sweep: the production engine and the scalar oracle.
-ENGINES = {"reference": ReferenceNetwork, "production": Network}
+#: Engine sweep: the scalar oracle engine, the production engine, and
+#: the production engine with the from-scratch reference solver.
+ENGINES = {
+    "reference": ReferenceNetwork,
+    "production": Network,
+    "reference-solver": ReferenceSolverNetwork,
+}
 ENGINE_CASES = [
     pytest.param("reference", id="ref-engine"),
     pytest.param("production", id="vec-engine"),
@@ -47,7 +57,7 @@ ENGINE_CASES = [
 
 def _build(engine: str = "production"):
     sim = Simulator()
-    net = ENGINES[engine](sim, solver="fast")
+    net = ENGINES[engine](sim)
     ups, dns = [], []
     for n in range(NODES):
         # Deliberately non-uniform capacities: uniform ones hide
@@ -58,9 +68,9 @@ def _build(engine: str = "production"):
 
 
 def _check_against_reference(net: Network) -> None:
-    """Fast solver's standing rates == a from-scratch reference solve."""
+    """Standing rates == a from-scratch reference solve."""
     fast_rates = {f.seq: f.rate for f in net._flows}
-    net._maxmin_rates_reference()
+    maxmin_rates_reference(net)
     ref_rates = {f.seq: f.rate for f in net._flows}
     assert fast_rates == ref_rates, (
         "fast solver diverged from reference: "
@@ -193,17 +203,14 @@ def test_differential_random_ops(ops):
     """Hypothesis churn, swept across engines AND solvers.
 
     The scalar oracle run is the reference: every production-engine run
-    — fast or reference solver — must reproduce its checkpoint rates
-    and delivered bytes *exactly* (no tolerance: same IEEE operations,
-    same results).
+    — incremental or reference solver — must reproduce its checkpoint
+    rates and delivered bytes *exactly* (no tolerance: same IEEE
+    operations, same results).
     """
     _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
-    for solver in ("fast", "reference"):
-        with use_solver(solver):
-            _, log, nbytes = _apply_ops(ops, engine="production")
-        assert log == ref_log, (
-            f"solver={solver} diverged from the reference engine"
-        )
+    for engine in ("production", "reference-solver"):
+        _, log, nbytes = _apply_ops(ops, engine=engine)
+        assert log == ref_log, f"{engine} diverged from the reference engine"
         assert nbytes == ref_bytes
 
 
@@ -248,12 +255,14 @@ def test_differential_seeded_churn(seed, engine):
 
 @pytest.mark.parametrize("seed", [2011, 2013])
 def test_cross_engine_rates_and_bytes_exact(seed):
-    """Seeded churn: production checkpoints == oracle checkpoints, exactly."""
+    """Seeded churn: production checkpoints == oracle checkpoints, exactly,
+    under both the incremental and the reference solver."""
     ops = _seeded_ops(seed, 80)
     _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
-    _, vec_log, vec_bytes = _apply_ops(ops, engine="production")
-    assert vec_log == ref_log
-    assert vec_bytes == ref_bytes
+    for engine in ("production", "reference-solver"):
+        _, log, nbytes = _apply_ops(ops, engine=engine)
+        assert log == ref_log, f"{engine} diverged from the reference engine"
+        assert nbytes == ref_bytes
 
 
 @pytest.mark.slow
@@ -265,25 +274,6 @@ def test_differential_seeded_churn_long(seed, engine):
     assert checks >= 400
 
 
-def test_solver_flag_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Network(sim, solver="bogus")
-    with pytest.raises(ValueError):
-        with use_solver("bogus"):
-            pass
-    assert Network(sim, solver="reference").solver == "reference"
-    assert DEFAULT_SOLVER in ("fast", "reference")
-
-
-def test_use_solver_restores_default():
-    sim = Simulator()
-    before = Network(sim).solver
-    with use_solver("reference"):
-        assert Network(sim).solver == "reference"
-    assert Network(sim).solver == before
-
-
 def test_skip_counter_counts_clean_solves():
     # Pinned to the oracle: its solves are synchronous, so the
     # counters are inspectable right after the call.
@@ -291,7 +281,7 @@ def test_skip_counter_counts_clean_solves():
     f = net.transfer_flow((ups[0], dns[1]), 1e6)
     assert net.rate_recomputes == 1
     net._dirty.clear()
-    net._maxmin_rates_fast()
+    net._maxmin_rates()
     assert net.rate_skips == 1
     assert f.rate > 0
 

@@ -1,6 +1,6 @@
 """The simulator self-profiler contract.
 
-Three properties the bench harness depends on (see
+Three properties the repository benchmark depends on (see
 :mod:`repro.simnet.profiler`):
 
 * attribution — event labels land in the right bins, counts and wall
