@@ -13,6 +13,21 @@ from dataclasses import dataclass, replace
 
 from repro.util.units import MiB
 
+_INF = float("inf")
+
+#: Intervals, timeouts and caps: each must be finite and positive.
+_POSITIVE_FIELDS = (
+    "heartbeat_interval",
+    "completion_poll_interval",
+    "fetch_timeout",
+    "fetch_backoff_base",
+    "fetch_backoff_max",
+    "repair_bandwidth_cap",
+    "tasktracker_expiry_interval",
+)
+#: Fixed costs: each must be finite and not negative.
+_NON_NEGATIVE_FIELDS = ("task_jvm_startup", "job_setup_time")
+
 
 @dataclass(frozen=True)
 class HadoopConfig:
@@ -94,6 +109,20 @@ class HadoopConfig:
     rpc_status_bytes: int = 512  # serialized heartbeat payload
 
     def __post_init__(self) -> None:
+        # Written so NaN fails too: every comparison with NaN is False.
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 < value < _INF:
+                raise ValueError(f"{name} must be finite and positive: {value}")
+        for name in _NON_NEGATIVE_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 <= value < _INF:
+                raise ValueError(f"{name} must be finite and >= 0: {value}")
+        if not 1.0 < self.speculative_slowness < _INF:
+            raise ValueError(
+                f"speculative_slowness must be finite and exceed 1.0: "
+                f"{self.speculative_slowness}"
+            )
         if self.block_size < 1 * MiB:
             raise ValueError(f"block size too small: {self.block_size}")
         if self.replication < 1:
@@ -104,20 +133,12 @@ class HadoopConfig:
             )
         if not 0.0 <= self.reduce_slowstart <= 1.0:
             raise ValueError(f"slowstart must be in [0,1]: {self.reduce_slowstart}")
-        if self.heartbeat_interval <= 0 or self.completion_poll_interval <= 0:
-            raise ValueError("intervals must be positive")
         if self.parallel_copies < 1:
             raise ValueError(f"parallel copies must be >= 1: {self.parallel_copies}")
-        if self.fetch_timeout <= 0:
-            raise ValueError(f"fetch timeout must be positive: {self.fetch_timeout}")
         if self.fetch_retries < 0:
             # 0 is legal: every failed fetch escalates straight to a
             # fetch-failure strike instead of re-trying the same host.
             raise ValueError(f"fetch retries must be >= 0: {self.fetch_retries}")
-        if self.fetch_backoff_base <= 0:
-            raise ValueError(
-                f"fetch backoff base must be positive: {self.fetch_backoff_base}"
-            )
         if self.fetch_backoff_max < self.fetch_backoff_base:
             raise ValueError(
                 f"fetch backoff cap ({self.fetch_backoff_max}) below the "
@@ -127,21 +148,9 @@ class HadoopConfig:
             raise ValueError(
                 f"fetch failure threshold must be >= 1: {self.fetch_failure_threshold}"
             )
-        if self.speculative_slowness <= 1.0:
-            raise ValueError(
-                f"speculative slowness must exceed 1.0: {self.speculative_slowness}"
-            )
-        if self.repair_bandwidth_cap <= 0:
-            raise ValueError(
-                f"repair bandwidth cap must be positive: {self.repair_bandwidth_cap}"
-            )
         if self.repair_max_streams < 1:
             raise ValueError(
                 f"repair max streams must be >= 1: {self.repair_max_streams}"
-            )
-        if self.tasktracker_expiry_interval <= 0:
-            raise ValueError(
-                f"expiry interval must be positive: {self.tasktracker_expiry_interval}"
             )
         if self.max_attempts < 1:
             raise ValueError(f"max attempts must be >= 1: {self.max_attempts}")

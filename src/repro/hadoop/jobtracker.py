@@ -26,6 +26,22 @@ _RUNNING = "running"
 _DONE = "done"
 
 
+class _NoCalendar:
+    """The heartbeat calendar of a JobTracker driven without one."""
+
+    def sync(self, now: float) -> None:
+        pass
+
+    def work_appeared(self) -> None:
+        pass
+
+    def job_over(self) -> None:
+        pass
+
+
+_NO_CALENDAR = _NoCalendar()
+
+
 # eq=False on the task records: task_ids are unique, so identity comparison
 # is equivalent to field equality here, and list.remove() on the pending/
 # running queues must not pay a full dataclass field compare per element
@@ -188,6 +204,11 @@ class JobTracker:
         self.failure_node: Optional[int] = None
         self.failure_time: Optional[float] = None
         self.failure_task: Optional[int] = None
+        #: The trackers' :class:`~repro.hadoop.tasktracker.HeartbeatCalendar`
+        #: (set by the simulation).  It is told when assignable work may
+        #: appear and when the job ends, and brings ``last_heartbeat`` up
+        #: to date before that is read.
+        self.calendar = _NO_CALENDAR
 
     # -- queries --------------------------------------------------------------
     @property
@@ -242,6 +263,38 @@ class JobTracker:
         return refs, len(log)
 
     # -- the heartbeat protocol ---------------------------------------------------
+    def has_assignable_work(self) -> bool:
+        """Could some tracker's heartbeat be handed a task right now?
+
+        False guarantees that :meth:`heartbeat` assigns nothing, whatever
+        the node and its free slots.  True is conservative: a pending or
+        requeued map, a reduce that slowstart lets start, or — with
+        speculation on — a running single-attempt task once a duration
+        average exists (whether it is slow enough yet is not checked,
+        since that changes with time alone).  Every change that can turn
+        this from False to True notifies the calendar, except a first
+        announcement inside :meth:`heartbeat`, after which the calling
+        tracker has the calendar check again.
+        """
+        if self._pending_maps:
+            return True
+        reduces_open = self.reduces_may_start()
+        if reduces_open and (
+            self._requeued_reduces or self._next_reduce < self.num_reduces
+        ):
+            return True
+        if not self.config.speculative_execution:
+            return False
+        if self._completed_durations and any(
+            t.state == _RUNNING and t.attempts < 2 for t in self.maps
+        ):
+            return True
+        return bool(
+            reduces_open
+            and self._completed_reduce_durations
+            and any(t.state == _RUNNING and t.attempts < 2 for t in self.reduces)
+        )
+
     def heartbeat(
         self,
         node: int,
@@ -254,6 +307,8 @@ class JobTracker:
         if node in self.blacklisted:
             return [], []
         self.last_heartbeat[node] = now
+        # A first announcement can open reduce slowstart; the calling
+        # tracker has the calendar re-check for work right after this.
         for mid in completed_map_ids:
             task = self.maps[mid]
             if not task.announced:
@@ -423,6 +478,8 @@ class JobTracker:
         self._completed_durations.append(attempt.metrics.duration)
         if attempt.speculative:
             self.speculative_wins += 1
+        if self.config.speculative_execution:
+            self.calendar.work_appeared()  # a slowness average may now exist
         return True
 
     def reduce_finished(self, attempt: ReduceAttempt) -> bool:
@@ -446,6 +503,10 @@ class JobTracker:
         self._completed_reduce_durations.append(attempt.metrics.duration)
         if attempt.speculative:
             self.speculative_reduce_wins += 1
+        if self.job_done:
+            self.calendar.job_over()
+        elif self.config.speculative_execution:
+            self.calendar.work_appeared()
         return True
 
     # -- failure handling & recovery ------------------------------------------
@@ -469,6 +530,7 @@ class JobTracker:
             self.failure_node = node
             self.failure_task = task_id
             self.failure_time = at
+            self.calendar.job_over()
 
     def tracker_registered(self, node: int, now: float) -> None:
         """A TaskTracker (re)connected — the start of its heartbeat stream.
@@ -478,8 +540,11 @@ class JobTracker:
         expiry window) is handled like Hadoop's re-initialized tracker:
         the old incarnation's running attempts and map outputs are gone,
         so they are unwound first, then the node is taken off the
-        blacklist and may receive work again.
+        blacklist and may receive work again.  The new tracker joins the
+        calendar parked, and is walked to its first call if work is
+        assignable.
         """
+        self.calendar.sync(now)
         if node in self.blacklisted:
             self.blacklisted.discard(node)
         elif self._tracker_holds_state(node):
@@ -491,11 +556,15 @@ class JobTracker:
         return bool(
             self._running_attempts.get(node)
             or self._running_reduce_map.get(node)
-            or any(t.state == _DONE and t.node == node for t in self.maps)
+            or (
+                self.maps_completed  # the count of DONE maps: skip the scan
+                and any(t.state == _DONE and t.node == node for t in self.maps)
+            )
         )
 
     def find_expired(self, now: float, interval: float) -> list[int]:
         """Nodes whose last heartbeat is older than ``interval``."""
+        self.calendar.sync(now)
         return [
             node
             for node, beat in sorted(self.last_heartbeat.items())
@@ -513,6 +582,7 @@ class JobTracker:
         """
         if node in self.blacklisted:
             return
+        self.calendar.sync(now)
         self.blacklisted.add(node)
         self.lost_trackers += 1
         self.last_heartbeat.pop(node, None)
@@ -606,6 +676,7 @@ class JobTracker:
         task.state = _PENDING
         task.node = None
         self._requeued_reduces.append(task)
+        self.calendar.work_appeared()
 
     # -- recovery internals ---------------------------------------------------
     def _drop_running_attempt(self, attempt: MapAttempt) -> None:
@@ -667,6 +738,7 @@ class JobTracker:
         task.state = _PENDING
         task.node = None
         self._requeued_reduces.append(task)
+        self.calendar.work_appeared()
 
     def _invalidate_map_output(self, task: MapTaskInfo, now: float) -> None:
         """A completed map's output died with its node: run it again."""
@@ -689,3 +761,4 @@ class JobTracker:
         self._pending_maps.append(task)
         for node in task.preferred_nodes:
             self._local_index.setdefault(node, []).append(task)
+        self.calendar.work_appeared()

@@ -34,7 +34,7 @@ from repro.hadoop.maptask import map_task_process
 from repro.hadoop.metrics import JobMetrics
 from repro.hadoop.reducetask import reduce_task_process
 from repro.hadoop.storage import StorageManager
-from repro.hadoop.tasktracker import TaskTracker
+from repro.hadoop.tasktracker import HeartbeatCalendar, TaskTracker
 from repro.obs import Observer
 from repro.simnet.cluster import Cluster, ClusterSpec
 from repro.simnet.faults import FaultInjector, FaultPlan
@@ -127,6 +127,9 @@ class HadoopSimulation:
             self.spec, self.config, self._file, num_workers=self.num_workers
         )
         self.metrics = JobMetrics(job_name=self.spec.name)
+        #: Parks idle TaskTrackers between the beats that matter.
+        self.calendar = HeartbeatCalendar(self)
+        self.jobtracker.calendar = self.calendar
         # -- fault-injection state (inert without a plan) --------------------
         self.dead_nodes: set[int] = set()
         self._epoch: dict[int, int] = {}
@@ -477,6 +480,7 @@ class HadoopSimulation:
         sim = self.sim
         jt = self.jobtracker
         sim.obs.tracer.end(self.job_sid, done=jt.job_done, failed=jt.job_failed)
+        self.calendar.flush()  # trackers still parked when a run stopped early
         self._finalize_metrics()
         if jt.job_failed:
             raise JobFailedError(jt.failure_reason or "unknown failure", self.metrics)

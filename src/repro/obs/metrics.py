@@ -39,6 +39,12 @@ class Counter:
         self.value += n
         self.events += 1
 
+    def add_times(self, n: float, times: int) -> None:
+        """``times`` calls of :meth:`add` with ``n`` in one step (the same
+        total while the running value stays an integer below 2**53)."""
+        self.value += n * times
+        self.events += times
+
     def to_dict(self) -> dict:
         return {"type": "counter", "value": self.value, "events": self.events}
 

@@ -17,7 +17,7 @@ Invariants the kernel maintains (property-tested in
 
 Every scheduled event is one ``(time, seq, event)`` entry of a single
 binary heap, and :meth:`Simulator.run` is one loop over it (plus an
-instrumented twin used only while a self-profiler is attached).  Two
+instrumented twin used only while a self-profiler is attached).  Three
 mechanisms keep that loop cheap at scale:
 
 * **lazy cancellation** — :meth:`Event.cancel` tombstones a scheduled
@@ -28,10 +28,16 @@ mechanisms keep that loop cheap at scale:
 * **pooled ticks** — :meth:`Simulator.tick` hands out recycled
   :class:`Tick` events, and same-instant *shared* ticks coalesce into
   one heap entry (see :class:`Tick`).
+* **ranked batches** — :meth:`Simulator.fire_at` queues an event for a
+  future instant in that instant's batch: one heap entry whose members
+  fire in rank order, whenever each joined.  The Hadoop TaskTrackers
+  beat through it, so a tracker woken from a park still beats in its
+  place among the trackers due at that instant.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -182,7 +188,7 @@ class Tick(Event):
     Ticks are pre-triggered like :class:`Timeout` but come from a
     per-simulator free list and return to it when their heap entry pops
     — the allocation cost of the network/device completion timers and
-    the periodic heartbeat timers is paid once, not per event.  *Shared*
+    the periodic sweep timers is paid once, not per event.  *Shared*
     ticks additionally coalesce: consecutive requests for the same
     expiry instant with no other event scheduled in between merge into
     one heap entry whose callbacks run in append order — provably the
@@ -198,6 +204,30 @@ class Tick(Event):
     """
 
     __slots__ = ()
+
+
+class _Batch(Event):
+    """One heap entry firing every event queued for its instant through
+    :meth:`Simulator.fire_at`, in ascending rank order."""
+
+    __slots__ = ("when", "ranks", "members")
+
+    def __init__(self, sim: "Simulator", when: float):
+        super().__init__(sim)
+        self.when = when
+        self.ranks: list[int] = []
+        self.members: list[Event] = []
+        self.callbacks.append(self._fire)
+        self._triggered = True
+        self._ok = True
+
+    def _fire(self, _ev: Event) -> None:
+        del self.sim._batches[self.when]  # later requests open a new batch
+        for ev in self.members:
+            callbacks, ev.callbacks = ev.callbacks, None
+            if callbacks:  # None: cancelled while queued
+                for cb in callbacks:
+                    cb(ev)
 
 
 class _Condition(Event):
@@ -415,6 +445,8 @@ class Simulator:
         self._last_shared: Optional[Tick] = None
         self._last_shared_when = 0.0
         self._last_shared_seq = -1
+        #: Pending :meth:`fire_at` batches by instant.
+        self._batches: dict[float, _Batch] = {}
         #: Observability hook; :meth:`repro.obs.Observer.attach` replaces
         #: the null default.  Models read ``sim.obs`` — never store it.
         self.obs = NULL_OBS
@@ -502,6 +534,37 @@ class Simulator:
         self._seq += 1
         return ev
 
+    def fire_at(self, ev: Event, when: float, rank: int, value: Any = None) -> None:
+        """Trigger the pending event ``ev`` to fire at the absolute instant
+        ``when``, in that instant's *ranked batch*.
+
+        Every event passed here for the same instant shares one heap
+        entry, created by the first request, and fires in ascending
+        ``rank`` order however late it joined (until the batch starts
+        firing; later requests open a new batch).  Processes that keep a
+        fixed relative order at every instant they share — because their
+        timelines are the same float chain — can so be woken at a future
+        instant from anywhere and still run in that order, back to back.
+        """
+        if ev._triggered:
+            raise SimError("event already triggered")
+        if not self._now <= when < _INF:
+            raise ValueError(
+                f"event must fire at a finite instant not in the past: "
+                f"{when} (now {self._now})"
+            )
+        ev._triggered = True
+        ev._ok = True
+        ev._value = value
+        batch = self._batches.get(when)
+        if batch is None:
+            batch = self._batches[when] = _Batch(self, when)
+            heapq.heappush(self._heap, (when, self._seq, batch))
+            self._seq += 1
+        at = bisect.bisect_right(batch.ranks, rank)
+        batch.ranks.insert(at, rank)
+        batch.members.insert(at, ev)
+
     def process(self, gen: ProcessGen, name: str = "") -> Process:
         proc = Process(self, gen, name=name)
         obs = self.obs
@@ -561,13 +624,18 @@ class Simulator:
 
         Bound methods label as ``ClassName.method`` — except process
         resumptions, which label as the process *name* (``tracker3``,
-        ``map12``) so the profiler can tell heartbeats from task work.
+        ``map12``) so the profiler can tell heartbeats from task work,
+        and :meth:`fire_at` batches, which label as their first member.
         """
         cb = callbacks[0]
         owner = getattr(cb, "__self__", None)
         if owner is not None:
             if isinstance(owner, Process):
                 return owner.name
+            if isinstance(owner, _Batch):
+                for ev in owner.members:
+                    if ev.callbacks:
+                        return Simulator._event_label(ev.callbacks)
             return f"{type(owner).__name__}.{getattr(cb, '__name__', 'call')}"
         return getattr(cb, "__qualname__", None) or getattr(
             cb, "__name__", "callback"

@@ -40,7 +40,8 @@ BINS = ("heartbeat", "flow", "scheduler", "task", "kernel")
 #: first callback: ``ClassName.method`` for bound methods, the process
 #: name for process resumptions, ``__qualname__`` for plain functions.
 _RULES: tuple[tuple[str, str], ...] = (
-    # Heartbeat machinery: tasktracker heartbeat loops + expiry sweeps.
+    # Heartbeat machinery: tasktracker beats (a ranked batch of beats
+    # labels as the first tracker it wakes) + expiry sweeps.
     ("tracker", "heartbeat"),
     ("heartbeat", "heartbeat"),
     ("expiry", "heartbeat"),

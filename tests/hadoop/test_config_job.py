@@ -11,6 +11,9 @@ from repro.hadoop.job import (
 )
 from repro.util.units import GB, MiB
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestHadoopConfig:
     def test_paper_defaults(self):
@@ -41,6 +44,32 @@ class TestHadoopConfig:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             HadoopConfig(**kw)
+
+    @pytest.mark.parametrize("value", [NAN, INF, -1.0], ids=["nan", "inf", "neg"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "heartbeat_interval",
+            "completion_poll_interval",
+            "job_setup_time",
+            "tasktracker_expiry_interval",
+            "speculative_slowness",
+            "fetch_timeout",
+            "fetch_backoff_base",
+            "fetch_backoff_max",
+            "task_jvm_startup",
+            "repair_bandwidth_cap",
+        ],
+    )
+    def test_non_finite_and_negative_times_rejected(self, field, value):
+        # NaN slips past ``x <= 0``; inf turns a poll or a beat into a
+        # timer the kernel refuses, or a reducer that never gives up.
+        with pytest.raises(ValueError, match=field):
+            HadoopConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["job_setup_time", "task_jvm_startup"])
+    def test_zero_fixed_costs_allowed(self, field):
+        assert getattr(HadoopConfig(**{field: 0.0}), field) == 0.0
 
 
 class TestWorkloadProfile:

@@ -138,3 +138,73 @@ class TestCompletionBookkeeping:
         spec = JobSpec("t", input_bytes=1, profile=JAVASORT_PROFILE)
         with pytest.raises(ValueError, match="no blocks"):
             JobTracker(spec, config, f, num_workers=1)
+
+
+class _RecordingCalendar:
+    def __init__(self):
+        self.calls = []
+
+    def sync(self, now):
+        self.calls.append(("sync", now))
+
+    def work_appeared(self):
+        self.calls.append("work")
+
+    def job_over(self):
+        self.calls.append("over")
+
+
+class TestAssignableWork:
+    """``has_assignable_work`` False must mean no heartbeat assigns
+    anything, and every way work reappears must tell the calendar."""
+
+    def _idle_everywhere(self, jt, now):
+        return all(
+            jt.heartbeat(node, 8, 8, [], now=now) == ([], []) for node in (1, 2, 3, 4)
+        )
+
+    def test_follows_the_job_lifecycle(self):
+        jt = make_jt(input_mb=64 * 4, reducers=1)  # 4 maps, slowstart -> 1 map
+        assert jt.has_assignable_work()
+        maps = []
+        t = 0.0
+        while jt.has_assignable_work():
+            for node in (1, 2, 3, 4):
+                maps.extend(jt.heartbeat(node, 8, 8, [], now=t)[0])
+            t += 3.0
+        assert len(maps) == 4
+        assert self._idle_everywhere(jt, t)  # slowstart not yet announced
+        jt.map_finished(maps[0], 10.0, now=t)
+        assert not jt.has_assignable_work()  # finished, not yet announced
+        jt.heartbeat(maps[0].node, 0, 0, [maps[0].task_id], now=t + 1)
+        assert jt.has_assignable_work()  # the one reduce may start
+        _, reduces = jt.heartbeat(2, 0, 8, [], now=t + 2)
+        assert len(reduces) == 1
+        assert not jt.has_assignable_work()
+        assert self._idle_everywhere(jt, t + 3)
+
+    def test_budget_blocked_work_still_counts(self):
+        jt = make_jt()
+        assert jt.heartbeat(1, 0, 0, [], now=0.0) == ([], [])
+        assert jt.has_assignable_work()
+
+    def test_calendar_hears_of_requeues_failures_and_the_end(self):
+        jt = make_jt(input_mb=64, reducers=1, config=HadoopConfig(reduce_slowstart=0.0))
+        cal = jt.calendar = _RecordingCalendar()
+        jt.tracker_registered(1, 0.0)
+        assert cal.calls == [("sync", 0.0)]
+        jt.heartbeat(1, 8, 0, [], now=1.0)
+        cal.calls.clear()
+        jt.find_expired(700.0, 600.0)
+        jt.lost_tasktracker(1, 700.0)  # the running map requeues
+        assert cal.calls == [("sync", 700.0), ("sync", 700.0), "work"]
+        assert jt._pending_maps
+        cal.calls.clear()
+        jt.tracker_registered(2, 701.0)
+        maps, reduces = jt.heartbeat(2, 8, 8, [], now=702.0)
+        jt.map_finished(maps[0], 10.0, now=703.0)
+        jt.reduce_finished(reduces[0])
+        assert cal.calls[-1] == "over" and jt.job_done
+        cal.calls.clear()
+        jt.fail_job("late failure", at=800.0)
+        assert cal.calls == ["over"]

@@ -88,6 +88,82 @@ class TestFifoOrdering:
         assert order == list(range(10))
 
 
+class TestRankedBatches:
+    def _queue(self, sim, order, when, rank, tag):
+        ev = sim.event()
+        ev.callbacks.append(lambda e: order.append((sim.now, tag, e.value)))
+        sim.fire_at(ev, when, rank, value=tag)
+        return ev
+
+    def test_one_instant_fires_in_rank_order_however_late_joined(self):
+        sim = Simulator()
+        order = []
+        self._queue(sim, order, 2.0, 5, "late-rank")
+        sim.timeout(2.0).callbacks.append(lambda e: order.append((sim.now, "timeout", None)))
+        self._queue(sim, order, 2.0, 1, "early-rank")
+        self._queue(sim, order, 2.0, 3, "mid-rank")
+        sim.run()
+        # One heap entry, opened by the first request: all three fire
+        # before the timeout scheduled between them, in rank order.
+        assert [tag for _, tag, _ in order] == [
+            "early-rank",
+            "mid-rank",
+            "late-rank",
+            "timeout",
+        ]
+        assert all(t == 2.0 for t, _, _ in order)
+        assert sim.events_dispatched == 2
+
+    def test_request_while_firing_opens_a_new_batch(self):
+        sim = Simulator()
+        order = []
+
+        def join(_ev):
+            order.append("first")
+            self._queue(sim, order, sim.now, 0, "joined-during-fire")
+
+        ev = sim.event()
+        ev.callbacks.append(join)
+        sim.fire_at(ev, 1.0, 9)
+        self._queue(sim, order, 1.0, 10, "second")
+        sim.run()
+        assert [o if isinstance(o, str) else o[1] for o in order] == [
+            "first",
+            "second",
+            "joined-during-fire",
+        ]
+
+    def test_resumes_a_waiting_process_with_the_value(self):
+        sim = Simulator()
+        ev = sim.event()
+        got = []
+
+        def proc():
+            got.append((yield ev))
+            got.append(sim.now)
+
+        sim.process(proc())
+        sim.run()
+        sim.fire_at(ev, 4.5, 0, value="go")
+        sim.run()
+        assert got == ["go", 4.5]
+
+    def test_rejects_past_non_finite_and_double_triggers(self):
+        sim = Simulator()
+        sim.timeout(1.0)
+        sim.run()
+        with pytest.raises(ValueError):
+            sim.fire_at(sim.event(), 0.5, 0)
+        with pytest.raises(ValueError):
+            sim.fire_at(sim.event(), float("nan"), 0)
+        with pytest.raises(ValueError):
+            sim.fire_at(sim.event(), float("inf"), 0)
+        ev = sim.event()
+        sim.fire_at(ev, 2.0, 0)
+        with pytest.raises(SimError):
+            sim.fire_at(ev, 3.0, 0)
+
+
 class TestEvents:
     def test_manual_succeed_delivers_value(self):
         sim = Simulator()

@@ -24,6 +24,11 @@ from repro.simnet.profiler import (
 
 
 def _wordcount_export(seed: int, profiler=None) -> str:
+    metrics = _wordcount_run(seed, profiler).metrics
+    return json.dumps(metrics.to_dict(), sort_keys=True)
+
+
+def _wordcount_run(seed: int, profiler=None):
     from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE
     from repro.hadoop.simulation import HadoopSimulation
     from repro.simnet.cluster import ClusterSpec
@@ -36,8 +41,8 @@ def _wordcount_export(seed: int, profiler=None) -> str:
     )
     if profiler is not None:
         hsim.sim.attach_profiler(profiler)
-    metrics = hsim.run()
-    return json.dumps(metrics.to_dict(), sort_keys=True)
+    hsim.run()
+    return hsim
 
 
 class TestCategorize:
@@ -48,6 +53,7 @@ class TestCategorize:
         assert categorize("NetworkModel.solve") == "flow"
         assert categorize("FairScheduler.dispatch") == "scheduler"
         assert categorize("JobMonitor.poll") == "scheduler"
+        assert categorize("tracker12.1") == "heartbeat"  # a restarted tracker
 
     def test_unknown_labels_fall_through_to_kernel(self):
         assert categorize("frobnicate") == "kernel"
@@ -133,10 +139,38 @@ class TestKernelIntegration:
         sim.run()
         assert prof.snapshot()["total"]["events"] == 0
 
-    def test_heartbeats_dominate_a_hadoop_run(self):
+    def test_a_ranked_batch_labels_as_the_process_it_wakes(self):
+        from repro.simnet.kernel import Simulator
+
+        sim = Simulator()
         prof = SelfProfiler()
-        _wordcount_export(7, profiler=prof)
-        bins = prof.snapshot()["bins"]
-        assert bins["heartbeat"]["events"] == max(
-            b["events"] for b in bins.values()
+        sim.attach_profiler(prof)
+        ev = sim.event()
+
+        def tracker():
+            yield ev
+
+        sim.process(tracker(), name="tracker3")
+        sim.fire_at(ev, 2.0, 0)
+        sim.run()
+        # The boot event and the batch both bin as heartbeat work.
+        assert prof.snapshot()["bins"]["heartbeat"]["events"] == 2
+
+    def test_parked_trackers_shrink_the_heartbeat_bin(self, monkeypatch):
+        from tests.hadoop.reference_tracker import use_reference_tracker
+
+        prof = SelfProfiler()
+        events = _wordcount_run(7, profiler=prof).sim.events_dispatched
+        snap = prof.snapshot()
+        with monkeypatch.context() as m:
+            use_reference_tracker(m)
+            every_beat = SelfProfiler()
+            _wordcount_run(7, profiler=every_beat)
+        assert (
+            snap["bins"]["heartbeat"]["events"]
+            < every_beat.snapshot()["bins"]["heartbeat"]["events"]
         )
+        assert snap["total"]["events"] == sum(
+            b["events"] for b in snap["bins"].values()
+        )
+        assert snap["total"]["events"] == events
