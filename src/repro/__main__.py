@@ -1,7 +1,10 @@
 """Command index: ``python -m repro`` lists every runnable experiment.
 
 ``python -m repro trace <experiment>`` runs one observed experiment and
-writes a Perfetto trace (see :mod:`repro.obs.cli`).
+writes a Perfetto trace (see :mod:`repro.obs.cli`).  ``fig6``, ``fig1``
+and ``fault`` run the ``simulate`` builder of ``fig6_wordcount``,
+``fig1_shuffle`` and ``fault_tolerance`` — the same code each driver's
+sweep and ``--trace-out`` run.
 
 ``python -m repro replay <trace-or-experiment>`` folds a run into
 playback frames and writes a self-contained HTML dashboard (see
@@ -69,6 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     for mod, desc in COMMANDS:
         print(f"  {mod:<{width}}  {desc}")
     print("\ntracing: python -m repro trace {fig6,fig1,fault} --size 1GB --trace-out trace.json")
+    print("         (runs the simulate() builder of fig6_wordcount / fig1_shuffle / fault_tolerance)")
     print("multi-tenant: python -m repro tenants [--quick] [--out results/] [--trace-out trace.json]")
     print("capacity: python -m repro capacity [--quick] [--out results/] [--store-out stores/]")
     print("analysis: python -m repro analyze {trace.json,store.jsonl} [--tenants] [--validate] [--json report.json]")

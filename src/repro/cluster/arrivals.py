@@ -14,7 +14,7 @@ Open-loop means arrivals do not slow down when the cluster is saturated
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,7 @@ from repro.workloads.gridmix_suite import GRIDMIX_SUITE, suite_by_name
 
 _PROFILES = ("poisson", "diurnal", "bursty")
 _RUNTIMES = ("hadoop", "mpid", "mixed")
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,20 @@ class TenantSpec:
     burst_spacing: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive: {self.rate}")
+        # Written so that NaN fails every check: a NaN rate or period
+        # otherwise yields an empty or endless arrival stream.
+        if not 0 < self.rate < _INF:
+            raise ValueError(f"arrival rate must be positive and finite: {self.rate}")
+        if not 0 < self.diurnal_period < _INF:
+            raise ValueError(
+                f"diurnal_period must be positive and finite: {self.diurnal_period}"
+            )
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown arrival profile: {self.profile!r}")
         if self.runtime not in _RUNTIMES:
             raise ValueError(f"unknown runtime: {self.runtime!r}")
-        if not 0 < self.min_input_bytes <= self.max_input_bytes:
-            raise ValueError("need 0 < min_input_bytes <= max_input_bytes")
+        if not 0 < self.min_input_bytes <= self.max_input_bytes < _INF:
+            raise ValueError("need 0 < min_input_bytes <= max_input_bytes < inf")
         known = suite_by_name()
         for w in self.workloads:
             if w not in known:
@@ -77,8 +84,8 @@ class TenantSpec:
             raise ValueError("mpid_fraction must be in [0, 1]")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ValueError("diurnal_amplitude must be in [0, 1)")
-        if self.burst_size < 1.0 or self.burst_spacing < 0:
-            raise ValueError("need burst_size >= 1 and burst_spacing >= 0")
+        if not (1.0 <= self.burst_size < _INF and 0 <= self.burst_spacing < _INF):
+            raise ValueError("need finite burst_size >= 1 and burst_spacing >= 0")
 
     @property
     def queue_name(self) -> str:

@@ -35,7 +35,7 @@ from repro.cluster import (
     QueueConfig,
     SchedulerConfig,
 )
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, number_list
 from repro.hadoop import WORDCOUNT_PROFILE, HadoopConfig, JobSpec
 from repro.obs.tenant_analysis import (
     CapacityProjection,
@@ -280,7 +280,7 @@ def produce_stores(
     the stream or summary is wall-clock, so same-seed runs write
     byte-identical files (the CI fleet-smoke contract).
     """
-    from repro.experiments.multi_tenant import make_queues, make_tenants
+    from repro.experiments.multi_tenant import simulate
     from repro.obs.store import TraceStoreWriter
     from repro.obs.tenant_analysis import tenant_blame
 
@@ -288,25 +288,17 @@ def produce_stores(
     out_dir.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
     for seed in sorted(seeds):
-        engine = MultiTenantEngine(
-            make_tenants(load),
-            scheduler=SchedulerConfig(policy=policy),
-            queues=make_queues(),
-            hadoop_config=HadoopConfig(map_slots=4, reduce_slots=4),
-            seed=seed,
-            horizon=horizon,
-            observe=True,
-        )
-        engine.setup()
         path = out_dir / f"tenants-{policy}-seed{seed}.jsonl"
         with TraceStoreWriter(path, system=f"tenants-{policy}") as writer:
-            writer.attach(engine.sim.obs)
-            report = engine.run()
+            cell = simulate(
+                load, policy, seed, horizon, chaos=False, observe=True,
+                attach=lambda _system, obs: writer.attach(obs),
+            )
+            ((system, obs),) = cell.observers
+            report = cell.metrics[system]
             report["blame"] = {
                 tenant: entry["blame_pct"]
-                for tenant, entry in sorted(
-                    tenant_blame(engine.sim.obs.tracer).items()
-                )
+                for tenant, entry in sorted(tenant_blame(obs.tracer).items())
             }
             writer.summary = report
         paths.append(path)
@@ -396,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         "fleet view in this directory",
     )
     parser.add_argument(
-        "--store-seeds", type=str, default="2011,2012",
+        "--store-seeds", type=number_list(int, positive=False), default="2011,2012",
         help="comma-separated seeds for --store-out (default 2011,2012)",
     )
     parser.add_argument(
@@ -419,11 +411,8 @@ def main(argv: list[str] | None = None) -> int:
             fh.write("\n")
         print(f"wrote {path}")
     if args.store_out is not None:
-        seeds = tuple(
-            int(t) for t in args.store_seeds.split(",") if t.strip()
-        )
         for path in produce_stores(
-            args.store_out, seeds=seeds, horizon=args.store_horizon
+            args.store_out, seeds=args.store_seeds, horizon=args.store_horizon
         ):
             print(f"wrote {path}")
     return status

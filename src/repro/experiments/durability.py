@@ -20,7 +20,9 @@ and the repair traffic Hadoop paid (bytes re-replicated / input bytes)
 protection it therefore does not get.
 
 Run: ``python -m repro.experiments.durability [--gb N] [--seeds a,b]
-[--rates r1,r2,...] [--replications 1,2,3] [--trace-out FILE]``
+[--rates r1,r2,...] [--replications 1,2,3] [--trace-out FILE]``.
+:func:`simulate` is the one builder of the disk-churned Hadoop run,
+shared by the sweep and ``--trace-out``.
 """
 
 from __future__ import annotations
@@ -32,20 +34,17 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.fault_tolerance import classify_failure
-from repro.experiments.reporting import Table, banner
-from repro.hadoop import (
-    HadoopConfig,
-    JobFailedError,
-    JobSpec,
-    WORDCOUNT_PROFILE,
-    run_hadoop_job,
-)
+from repro.experiments.fault_tolerance import WORKERS, failure_record
+from repro.experiments.fig6_wordcount import wordcount_spec
+from repro.experiments.reporting import Table, banner, number_list, positive_number
+from repro.hadoop import HadoopConfig, JobMetrics
+from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import (
     MrMpiConfig,
     run_mpid_job,
     run_mpid_job_under_storage_faults,
 )
+from repro.obs import Attach, ObservedRun, write_observed_run
 from repro.simnet.cluster import ClusterSpec
 from repro.simnet.faults import DiskFailure, FaultPlan
 from repro.util.units import GiB, MiB
@@ -112,20 +111,44 @@ class DurabilityResult:
         return None
 
 
-def _spec(gb: float) -> JobSpec:
-    return JobSpec(
-        name=f"wordcount-{gb:g}g",
-        input_bytes=int(gb * GiB),
-        profile=WORDCOUNT_PROFILE,
-        num_reduce_tasks=1,
-    )
+#: The system name of the disk-churned Hadoop run in traces.
+SYSTEM = "hadoop-durability"
 
 
-def _plan(rate_per_hour: float, workers: tuple[int, ...], seed: int) -> FaultPlan:
+def disk_plan(rate_per_hour: float, seed: int) -> FaultPlan:
+    """Seeded Poisson disk deaths on every worker node."""
     return FaultPlan(
-        specs=(DiskFailure(rate=rate_per_hour / 3600.0, nodes=workers),),
+        specs=(DiskFailure(rate=rate_per_hour / 3600.0, nodes=WORKERS),),
         seed=seed,
     )
+
+
+def simulate(
+    input_bytes: int,
+    seed: int = 2011,
+    rate_per_hour: Optional[float] = None,
+    replication: int = 3,
+    repair_bandwidth_cap: float = 10 * MiB,
+    observe: bool = False,
+    attach: Optional[Attach] = None,
+) -> ObservedRun:
+    """One Hadoop WordCount run under :func:`disk_plan` (None: clean).
+
+    A job that lost data comes back with ``job_failed`` set on its
+    metrics, not an exception.
+    """
+    return HadoopSimulation(
+        spec=wordcount_spec(input_bytes),
+        config=HadoopConfig(
+            map_slots=7,
+            reduce_slots=7,
+            replication=replication,
+            repair_bandwidth_cap=repair_bandwidth_cap,
+        ),
+        seed=seed,
+        fault_plan=None if rate_per_hour is None else disk_plan(rate_per_hour, seed),
+        observe=observe,
+    ).observed_run(SYSTEM, attach)
 
 
 def run(
@@ -136,8 +159,8 @@ def run(
     repair_bandwidth_cap: float = 10 * MiB,
 ) -> DurabilityResult:
     cluster_spec = ClusterSpec()
-    workers = tuple(range(1, cluster_spec.num_nodes))
-    spec = _spec(input_gb)
+    input_bytes = int(input_gb * GiB)
+    spec = wordcount_spec(input_bytes)
     result = DurabilityResult(
         input_gb=input_gb,
         replications=tuple(replications),
@@ -151,25 +174,17 @@ def run(
         )
         for repl in replications
     }
-    hadoop_cfgs = {
-        repl: HadoopConfig(
-            map_slots=7,
-            reduce_slots=7,
-            replication=repl,
-            repair_bandwidth_cap=repair_bandwidth_cap,
-        )
-        for repl in replications
-    }
+
+    def hadoop(seed: int, repl: int, rate: Optional[float] = None):
+        return simulate(
+            input_bytes, seed, rate, repl, repair_bandwidth_cap
+        ).metrics[SYSTEM]
+
     # Clean baselines: Hadoop's makespan depends on replication (reduce
     # output is written repl times); MPI-D's does not (input layout only).
     for repl in replications:
         result.hadoop_clean[repl] = float(
-            np.mean(
-                [
-                    run_hadoop_job(spec, config=hadoop_cfgs[repl], seed=s).elapsed
-                    for s in seeds
-                ]
-            )
+            np.mean([hadoop(s, repl).elapsed for s in seeds])
         )
     result.mpid_clean = run_mpid_job(
         spec, config=mpid_cfgs[replications[0]], cluster_spec=cluster_spec
@@ -182,25 +197,12 @@ def run(
             h_times: list[float] = []
             m_times: list[float] = []
             for seed in seeds:
-                plan = _plan(rate, workers, seed)
-                try:
-                    hm = run_hadoop_job(
-                        spec, config=hadoop_cfgs[repl], seed=seed, fault_plan=plan
-                    )
+                hm = hadoop(seed, repl, rate)
+                if hm.job_failed:
+                    h.failures.append(failure_record(seed, hm))
+                else:
                     h.survived += 1
                     h_times.append(hm.elapsed)
-                except JobFailedError as err:
-                    hm = err.metrics
-                    h.failures.append(
-                        {
-                            "seed": seed,
-                            "reason": hm.failure_reason,
-                            "kind": classify_failure(hm.failure_reason),
-                            "node": hm.failure_node,
-                            "task": hm.failure_task,
-                            "time": hm.failure_time,
-                        }
-                    )
                 h.repair_overhead += hm.repair_bytes / spec.input_bytes
                 h.blocks_repaired += hm.blocks_repaired
                 h.blocks_lost += hm.blocks_lost
@@ -208,7 +210,7 @@ def run(
 
                 mm = run_mpid_job_under_storage_faults(
                     spec,
-                    plan,
+                    disk_plan(rate, seed),
                     config=mpid_cfgs[repl],
                     cluster_spec=cluster_spec,
                 )
@@ -323,7 +325,7 @@ def write_traced_run(
     rate_per_hour: float = 8.0,
     replication: int = 3,
     repair_bandwidth_cap: float = 10 * MiB,
-):
+) -> JobMetrics:
     """One observed disk-churned Hadoop run; writes trace + manifest.
 
     The trace shows the ``hdfs.repair`` flows on their own track next to
@@ -331,73 +333,45 @@ def write_traced_run(
     instants where readers skipped dead replicas, and (at harsher rates)
     ``hdfs.block.lost`` — the durability story of one run, in Perfetto.
     """
-    import time as _time
-
-    from pathlib import Path
-
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
-    workers = tuple(range(1, ClusterSpec().num_nodes))
-    sim = HadoopSimulation(
-        spec=_spec(input_gb),
-        config=HadoopConfig(
-            map_slots=7,
-            reduce_slots=7,
-            replication=replication,
-            repair_bandwidth_cap=repair_bandwidth_cap,
-        ),
-        seed=seed,
-        fault_plan=_plan(rate_per_hour, workers, seed),
-        observe=True,
-    )
-    t0 = _time.perf_counter()
-    try:
-        metrics = sim.run()
-    except JobFailedError as err:
-        metrics = err.metrics
-    observers = [(f"hadoop-durability-{input_gb:g}g", sim.obs)]
-    manifest = build_manifest(
-        experiment="durability",
-        config={
+    traced = write_observed_run(
+        trace_out,
+        "durability",
+        {
             "input_gb": input_gb,
             "rate_per_hour": rate_per_hour,
             "replication": replication,
             "repair_bandwidth_cap": repair_bandwidth_cap,
         },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
+        seed,
+        lambda attach: simulate(
+            int(input_gb * GiB), seed, rate_per_hour, replication,
+            repair_bandwidth_cap, observe=True, attach=attach,
+        ),
     )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return traced.metrics[SYSTEM]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=float, default=4.0, help="WordCount input size")
+    parser.add_argument(
+        "--gb", type=positive_number, default=4.0, help="WordCount input size"
+    )
     parser.add_argument(
         "--seeds",
-        type=str,
-        default=None,
+        type=number_list(int, positive=False),
+        default=DEFAULT_SEEDS,
         help="comma-separated fault/placement seeds (default 2011,2012,2013)",
     )
     parser.add_argument(
         "--rates",
-        type=str,
-        default=None,
+        type=number_list(),
+        default=DEFAULT_RATES,
         help="comma-separated disk-failure rates per node-hour",
     )
     parser.add_argument(
         "--replications",
-        type=str,
-        default=None,
+        type=number_list(int),
+        default=DEFAULT_REPLICATIONS,
         help="comma-separated dfs.replication values to sweep (default 1,2,3)",
     )
     parser.add_argument(
@@ -413,24 +387,13 @@ def main(argv: list[str] | None = None) -> int:
         help="also run one traced disk-churned 1 GB job; write Perfetto JSON here",
     )
     args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    rates = _parse_floats(args.rates) if args.rates else DEFAULT_RATES
-    replications = (
-        tuple(int(t) for t in args.replications.split(",") if t.strip())
-        if args.replications
-        else DEFAULT_REPLICATIONS
-    )
     print(
         format_report(
             run(
                 input_gb=args.gb,
-                seeds=seeds,
-                rates_per_hour=rates,
-                replications=replications,
+                seeds=args.seeds,
+                rates_per_hour=args.rates,
+                replications=args.replications,
                 repair_bandwidth_cap=args.repair_cap_mib * MiB,
             )
         )

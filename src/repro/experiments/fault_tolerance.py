@@ -21,7 +21,10 @@ lower it (default 60 s) so detection isn't the entire story, and say so
 in the report.
 
 Run: ``python -m repro.experiments.fault_tolerance [--gb N] [--seeds a,b]
-[--rates r1,r2,...] [--checkpoint SECS] [--full]``
+[--rates r1,r2,...] [--checkpoint SECS] [--full] [--trace-out FILE]``.
+:func:`simulate` is the one builder of the churned Hadoop run; the
+sweep, ``--trace-out``, ``python -m repro trace fault`` and ``python -m
+repro replay fault`` all run it.
 """
 
 from __future__ import annotations
@@ -34,15 +37,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.reporting import Table, banner
-from repro.hadoop import (
-    HadoopConfig,
-    JobFailedError,
-    JobSpec,
-    WORDCOUNT_PROFILE,
-    run_hadoop_job,
-)
+from repro.experiments.fig6_wordcount import wordcount_spec
+from repro.experiments.reporting import Table, banner, number_list
+from repro.hadoop import HadoopConfig, JobMetrics
+from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import MrMpiConfig, run_mpid_job, run_mpid_job_under_faults
+from repro.obs import Attach, ObservedRun, write_observed_run
 from repro.simnet.cluster import ClusterSpec
 from repro.simnet.faults import CrashRate, FaultPlan
 from repro.util.units import GiB
@@ -132,7 +132,7 @@ def classify_failure(reason: Optional[str]) -> str:
     return "other"
 
 
-def _failure_record(seed: int, hm) -> dict:
+def failure_record(seed: int, hm) -> dict:
     return {
         "seed": seed,
         "reason": hm.failure_reason,
@@ -143,13 +143,50 @@ def _failure_record(seed: int, hm) -> dict:
     }
 
 
-def _spec(gb: int) -> JobSpec:
-    return JobSpec(
-        name=f"wordcount-{gb}g",
-        input_bytes=gb * GiB,
-        profile=WORDCOUNT_PROFILE,
-        num_reduce_tasks=1,
+#: The crash targets: every worker; node 0 (the master) never fails.
+WORKERS = tuple(range(1, ClusterSpec().num_nodes))
+#: The system name of the churned Hadoop run in traces and stores.
+SYSTEM = "hadoop-faulted"
+
+
+def crash_plan(rate_per_hour: float, seed: int, restart_after: float = 30.0) -> FaultPlan:
+    """Seeded Poisson crash/restart churn on every worker node."""
+    return FaultPlan(
+        specs=(
+            CrashRate(
+                rate=rate_per_hour / 3600.0,
+                nodes=WORKERS,
+                restart_after=restart_after,
+            ),
+        ),
+        seed=seed,
     )
+
+
+def simulate(
+    input_bytes: int,
+    seed: int = 2011,
+    rate_per_hour: Optional[float] = None,
+    restart_after: float = 30.0,
+    expiry_interval: float = 60.0,
+    observe: bool = False,
+    attach: Optional[Attach] = None,
+) -> ObservedRun:
+    """One Hadoop WordCount run under :func:`crash_plan` churn.
+
+    ``rate_per_hour=None`` is the clean run.  A job the churn kills
+    comes back with ``job_failed`` set on its metrics, not an exception.
+    """
+    plan = None if rate_per_hour is None else crash_plan(rate_per_hour, seed, restart_after)
+    return HadoopSimulation(
+        spec=wordcount_spec(input_bytes),
+        config=HadoopConfig(
+            map_slots=7, reduce_slots=7, tasktracker_expiry_interval=expiry_interval
+        ),
+        seed=seed,
+        fault_plan=plan,
+        observe=observe,
+    ).observed_run(SYSTEM, attach)
 
 
 def run(
@@ -162,16 +199,13 @@ def run(
     keep_task_records: bool = False,
 ) -> FaultToleranceResult:
     cluster_spec = ClusterSpec()
-    workers = tuple(range(1, cluster_spec.num_nodes))
-    hadoop_cfg = HadoopConfig(
-        map_slots=7, reduce_slots=7, tasktracker_expiry_interval=expiry_interval
-    )
     mpid_cfg = MrMpiConfig(
         num_mappers=49,
         num_reducers=1,
         checkpoint_interval=checkpoint_interval,
     )
-    spec = _spec(input_gb)
+    input_bytes = input_gb * GiB
+    spec = wordcount_spec(input_bytes)
     result = FaultToleranceResult(
         input_gb=input_gb,
         rates_per_hour=tuple(rates_per_hour),
@@ -180,7 +214,13 @@ def run(
         restart_after=restart_after,
         checkpoint_interval=checkpoint_interval,
     )
-    clean_metrics = [run_hadoop_job(spec, config=hadoop_cfg, seed=s) for s in seeds]
+
+    def hadoop(seed: int, rate: Optional[float] = None):
+        return simulate(
+            input_bytes, seed, rate, restart_after, expiry_interval
+        ).metrics[SYSTEM]
+
+    clean_metrics = [hadoop(s) for s in seeds]
     result.hadoop_clean = float(np.mean([m.elapsed for m in clean_metrics]))
     if keep_task_records:
         result.hadoop_task_records[0.0] = [m.to_dict() for m in clean_metrics]
@@ -200,38 +240,25 @@ def run(
         m_fault_acc: dict[str, float] = {}
         rate_records: list[dict] = []
         for seed in seeds:
-            plan = FaultPlan(
-                specs=(
-                    CrashRate(
-                        rate=rate / 3600.0,
-                        nodes=workers,
-                        restart_after=restart_after,
-                    ),
-                ),
-                seed=seed,
-            )
-            try:
-                hm = run_hadoop_job(
-                    spec, config=hadoop_cfg, seed=seed, fault_plan=plan
-                )
-                h_times.append(hm.elapsed)
-            except JobFailedError as err:
-                hm = err.metrics
+            hm = hadoop(seed, rate)
+            if hm.job_failed:
                 h_times.append(float("inf"))
                 h_dnf += 1
                 result.hadoop_failures.setdefault(rate, []).append(
-                    _failure_record(seed, hm)
+                    failure_record(seed, hm)
                 )
+            else:
+                h_times.append(hm.elapsed)
             for key in fault_acc:
                 fault_acc[key] += getattr(hm, key)
             if keep_task_records:
                 rate_records.append(hm.to_dict())
             mm = run_mpid_job_under_faults(
                 spec,
-                plan,
+                crash_plan(rate, seed, restart_after),
                 config=mpid_cfg,
                 cluster_spec=cluster_spec,
-                nodes=workers,
+                nodes=WORKERS,
                 clean_elapsed=result.mpid_clean,
             )
             m_times.append(mm.elapsed)
@@ -340,65 +367,29 @@ def write_traced_run(
     rate_per_hour: float = 40.0,
     restart_after: float = 30.0,
     expiry_interval: float = 60.0,
-):
+) -> JobMetrics:
     """One observed faulted Hadoop run; writes trace + manifest sidecar.
 
     The trace shows the fault instants, the killed task attempts
     (aborted spans) and the re-executions — the recovery story of one
     churned run, loadable in Perfetto.
     """
-    import time as _time
-
-    from pathlib import Path
-
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
-    plan = FaultPlan(
-        specs=(
-            CrashRate(
-                rate=rate_per_hour / 3600.0,
-                nodes=tuple(range(1, ClusterSpec().num_nodes)),
-                restart_after=restart_after,
-            ),
-        ),
-        seed=seed,
-    )
-    sim = HadoopSimulation(
-        spec=_spec(input_gb),
-        config=HadoopConfig(
-            map_slots=7, reduce_slots=7, tasktracker_expiry_interval=expiry_interval
-        ),
-        seed=seed,
-        fault_plan=plan,
-        observe=True,
-    )
-    t0 = _time.perf_counter()
-    try:
-        metrics = sim.run()
-    except JobFailedError as err:
-        metrics = err.metrics
-    observers = [(f"hadoop-faulted-{input_gb}g", sim.obs)]
-    manifest = build_manifest(
-        experiment="fault_tolerance",
-        config={
+    traced = write_observed_run(
+        trace_out,
+        "fault_tolerance",
+        {
             "input_gb": input_gb,
             "rate_per_hour": rate_per_hour,
             "restart_after": restart_after,
             "expiry_interval": expiry_interval,
         },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
+        seed,
+        lambda attach: simulate(
+            input_gb * GiB, seed, rate_per_hour, restart_after, expiry_interval,
+            observe=True, attach=attach,
+        ),
     )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return traced.metrics[SYSTEM]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -406,13 +397,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gb", type=int, default=10, help="WordCount input size")
     parser.add_argument(
         "--seeds",
-        type=str,
-        default=None,
+        type=number_list(int, positive=False),
+        default=DEFAULT_SEEDS,
         help="comma-separated fault/placement seeds (default 2011,2012,2013)",
     )
     parser.add_argument(
         "--rates",
-        type=str,
+        type=number_list(),
         default=None,
         help="comma-separated crash rates per node-hour",
     )
@@ -432,21 +423,12 @@ def main(argv: list[str] | None = None) -> int:
         help="also run one traced faulted 1 GB job; write Perfetto JSON here",
     )
     args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    rates = (
-        _parse_floats(args.rates)
-        if args.rates
-        else (FULL_RATES if args.full else DEFAULT_RATES)
-    )
+    rates = args.rates or (FULL_RATES if args.full else DEFAULT_RATES)
     print(
         format_report(
             run(
                 input_gb=args.gb,
-                seeds=seeds,
+                seeds=args.seeds,
                 rates_per_hour=rates,
                 checkpoint_interval=args.checkpoint,
             )

@@ -6,64 +6,60 @@ default here is a 16 GB scale model (same wave structure, ~2 s of wall
 time); ``--full`` runs the paper's 150 GB (about half a minute of wall
 time, ~2400 reducers).
 
-Run: ``python -m repro.experiments.fig1_shuffle [--full]``
+Run: ``python -m repro.experiments.fig1_shuffle [--full] [--gb N]
+[--trace-out trace.json]``.  :func:`simulate` is the one builder of the
+JavaSort run; ``python -m repro trace fig1`` and ``python -m repro
+replay fig1`` run it too.
 """
 
 from __future__ import annotations
 
 import argparse
+from typing import Optional
 
 import numpy as np
 
 from repro.experiments import paper
 from repro.experiments.reporting import Table, banner, compare_to_paper
-from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec, run_hadoop_job
-from repro.util.units import GiB
+from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec
+from repro.hadoop.simulation import HadoopSimulation
+from repro.obs import Attach, ObservedRun, write_observed_run
+from repro.util.units import GiB, gib_label
+
+
+def simulate(
+    input_bytes: int,
+    seed: int = 2011,
+    observe: bool = False,
+    attach: Optional[Attach] = None,
+) -> ObservedRun:
+    """JavaSort on Hadoop at the paper's 8/8 slot configuration."""
+    return HadoopSimulation(
+        spec=JobSpec(
+            name=f"javasort-{gib_label(input_bytes)}",
+            input_bytes=input_bytes,
+            profile=JAVASORT_PROFILE,
+        ),
+        config=HadoopConfig(map_slots=8, reduce_slots=8),
+        seed=seed,
+        observe=observe,
+    ).observed_run("hadoop", attach)
 
 
 def run(input_bytes: int = 16 * GiB, seed: int = 2011) -> JobMetrics:
-    """JavaSort at the paper's 8/8 slot configuration."""
-    spec = JobSpec(
-        name=f"javasort-{input_bytes // GiB}g",
-        input_bytes=input_bytes,
-        profile=JAVASORT_PROFILE,
-    )
-    return run_hadoop_job(spec, config=HadoopConfig(map_slots=8, reduce_slots=8), seed=seed)
+    return simulate(input_bytes, seed=seed).metrics["hadoop"]
 
 
 def write_traced_run(trace_out, input_bytes: int = 16 * GiB, seed: int = 2011) -> JobMetrics:
     """One observed JavaSort run; writes trace + manifest sidecar."""
-    import time
-    from pathlib import Path
-
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
-    spec = JobSpec(
-        name=f"javasort-{input_bytes // GiB}g",
-        input_bytes=input_bytes,
-        profile=JAVASORT_PROFILE,
+    traced = write_observed_run(
+        trace_out,
+        "fig1_shuffle",
+        {"input_bytes": input_bytes, "seed": seed},
+        seed,
+        lambda attach: simulate(input_bytes, seed=seed, observe=True, attach=attach),
     )
-    sim = HadoopSimulation(
-        spec=spec,
-        config=HadoopConfig(map_slots=8, reduce_slots=8),
-        seed=seed,
-        observe=True,
-    )
-    t0 = time.perf_counter()
-    metrics = sim.run()
-    observers = [(spec.name, sim.obs)]
-    manifest = build_manifest(
-        experiment="fig1_shuffle",
-        config={"input_bytes": input_bytes, "seed": seed},
-        seed=seed,
-        observers=observers,
-        wall_seconds=time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
+    return traced.metrics["hadoop"]
 
 
 def format_report(metrics: JobMetrics, show_reducers: int = 12) -> str:

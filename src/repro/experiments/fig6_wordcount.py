@@ -8,15 +8,17 @@ reduces execution time to 8% / 48% / 56% of Hadoop at 1 / 10 / 100 GB.
 Run: ``python -m repro.experiments.fig6_wordcount [--full]
 [--trace-out trace.json]`` — the latter re-runs the smallest size with
 the observer attached and writes a Perfetto-loadable trace plus a
-``<trace-out>.manifest.json`` sidecar.
+``<trace-out>.manifest.json`` sidecar.  :func:`simulate` is the one
+builder of the Hadoop/MPI-D pair; ``python -m repro trace fig6`` and
+``python -m repro replay fig6`` run it too.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from repro.experiments import paper
 from repro.experiments.reporting import Table, banner, compare_to_paper
@@ -24,8 +26,8 @@ from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE
 from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import MrMpiConfig
 from repro.mrmpi.simulator import MrMpiSimulation
-from repro.obs import build_manifest, write_trace
-from repro.util.units import GiB
+from repro.obs import Attach, ObservedRun, write_observed_run
+from repro.util.units import GiB, gib_label
 
 DEFAULT_SIZES_GB = (1, 4, 10)
 FULL_SIZES_GB = (1, 10, 100)
@@ -42,44 +44,58 @@ class Fig6Result:
     #: ``MrMpiMetrics.to_dict()``) per size — the JSON export's payload.
     hadoop_metrics: dict[int, dict] = field(default_factory=dict)
     mpid_metrics: dict[int, dict] = field(default_factory=dict)
-    #: ``[(name, Observer), ...]`` when the run was observed, else empty.
-    traces: list = field(default_factory=list)
 
     def ratio(self, gb: int) -> float:
         return self.mpid[gb] / self.hadoop[gb]
 
 
-def _spec(gb: int) -> JobSpec:
+def wordcount_spec(input_bytes: int) -> JobSpec:
+    """The Figure-6 WordCount job (one reducer) at ``input_bytes``."""
     return JobSpec(
-        name=f"wordcount-{gb}g",
-        input_bytes=gb * GiB,
+        name=f"wordcount-{gib_label(input_bytes)}",
+        input_bytes=input_bytes,
         profile=WORDCOUNT_PROFILE,
         num_reduce_tasks=1,
     )
 
 
-def run(
-    sizes_gb: tuple[int, ...] = DEFAULT_SIZES_GB,
+def simulate(
+    input_bytes: int,
     seed: int = 2011,
     observe: bool = False,
-) -> Fig6Result:
-    hadoop_cfg = HadoopConfig(map_slots=7, reduce_slots=7)
-    mpid_cfg = MrMpiConfig(num_mappers=49, num_reducers=1)
+    attach: Optional[Attach] = None,
+) -> ObservedRun:
+    """Hadoop (7/7 slots) then MPI-D (49 mappers, 1 reducer) on one input."""
+    spec = wordcount_spec(input_bytes)
+    pair = HadoopSimulation(
+        spec=spec,
+        config=HadoopConfig(map_slots=7, reduce_slots=7),
+        seed=seed,
+        observe=observe,
+    ).observed_run("hadoop", attach)
+    msim = MrMpiSimulation(
+        spec=spec,
+        config=MrMpiConfig(num_mappers=49, num_reducers=1),
+        observe=observe,
+    )
+    if attach is not None:
+        attach("mpid", msim.obs)
+    mm = msim.run()
+    pair.observers.append(("mpid", msim.obs))
+    pair.sim_elapsed["mpid"] = mm.elapsed
+    pair.metrics["mpid"] = mm
+    return pair
+
+
+def run(sizes_gb: tuple[int, ...] = DEFAULT_SIZES_GB, seed: int = 2011) -> Fig6Result:
     result = Fig6Result(sizes_gb=tuple(sizes_gb))
     for gb in sizes_gb:
-        hsim = HadoopSimulation(
-            spec=_spec(gb), config=hadoop_cfg, seed=seed, observe=observe
-        )
-        hm = hsim.run()
+        pair = simulate(gb * GiB, seed=seed)
+        hm, mm = pair.metrics["hadoop"], pair.metrics["mpid"]
         result.hadoop[gb] = hm.elapsed
         result.hadoop_metrics[gb] = hm.to_dict()
-        msim = MrMpiSimulation(spec=_spec(gb), config=mpid_cfg, observe=observe)
-        mm = msim.run()
         result.mpid[gb] = mm.elapsed
         result.mpid_metrics[gb] = mm.to_dict()
-        if observe:
-            result.traces.append((f"hadoop-{gb}g", hsim.obs))
-            result.traces.append((f"mpid-{gb}g", msim.obs))
     return result
 
 
@@ -126,22 +142,16 @@ def format_report(result: Fig6Result) -> str:
 
 def write_traced_run(
     trace_out: Path, sizes_gb: tuple[int, ...], seed: int = 2011
-) -> Fig6Result:
+) -> ObservedRun:
     """One observed run of the smallest size; writes trace + manifest."""
     gb = min(sizes_gb)
-    t0 = time.perf_counter()
-    result = run(sizes_gb=(gb,), seed=seed, observe=True)
-    manifest = build_manifest(
-        experiment="fig6_wordcount",
-        config={"sizes_gb": [gb], "seed": seed},
-        seed=seed,
-        observers=result.traces,
-        wall_seconds=time.perf_counter() - t0,
-        sim_elapsed={"hadoop": result.hadoop[gb], "mpid": result.mpid[gb]},
+    return write_observed_run(
+        trace_out,
+        "fig6_wordcount",
+        {"sizes_gb": [gb], "seed": seed},
+        seed,
+        lambda attach: simulate(gb * GiB, seed=seed, observe=True, attach=attach),
     )
-    write_trace(result.traces, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return result
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -22,6 +22,8 @@ Per (load, policy, chaos, seed) cell the engine reports per-tenant SLOs:
 p50/p95/p99 job latency and queue wait, shed/failed/preempted counts,
 and slot-second utilization.  ``--trace-out`` additionally records one
 fully observed chaos-under-load run for the replay dashboard.
+:func:`simulate` is the one builder of a cell's engine, shared by the
+sweep, ``--trace-out`` and :func:`repro.experiments.capacity.produce_stores`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import argparse
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 from repro.cluster import (
     MultiTenantEngine,
@@ -37,8 +40,9 @@ from repro.cluster import (
     SchedulerConfig,
     TenantSpec,
 )
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, number_list
 from repro.hadoop.config import HadoopConfig
+from repro.obs import Attach, ObservedRun, write_observed_run
 from repro.simnet.faults import FaultPlan, NodeCrash, Straggler
 
 DEFAULT_SEEDS = (2011, 2012, 2013)
@@ -109,6 +113,40 @@ def chaos_plan(seed: int) -> FaultPlan:
     )
 
 
+def simulate(
+    load: float,
+    policy: str,
+    seed: int,
+    horizon: float = DEFAULT_HORIZON,
+    chaos: bool = True,
+    observe: bool = False,
+    attach: Optional[Attach] = None,
+) -> ObservedRun:
+    """One cell: the three-tenant mix at ``load`` under ``policy``, with
+    the :func:`chaos_plan` overlay when ``chaos``.  The system is named
+    ``tenants-<policy>``; its metrics are the engine's SLO report."""
+    engine = MultiTenantEngine(
+        make_tenants(load),
+        scheduler=SchedulerConfig(policy=policy),
+        queues=make_queues(),
+        hadoop_config=HadoopConfig(map_slots=4, reduce_slots=4),
+        fault_plan=chaos_plan(seed) if chaos else None,
+        seed=seed,
+        horizon=horizon,
+        observe=observe,
+    )
+    engine.setup()
+    system = f"tenants-{policy}"
+    if attach is not None:
+        attach(system, engine.sim.obs)
+    report = engine.run()
+    return ObservedRun(
+        observers=[(system, engine.sim.obs)],
+        sim_elapsed={system: report["makespan"]},
+        metrics={system: report},
+    )
+
+
 @dataclass
 class MultiTenantResult:
     """The full sweep: one engine report per cell per seed."""
@@ -141,19 +179,11 @@ def run(
     for load in result.loads:
         for policy in result.policies:
             for with_chaos in chaos:
-                cell = {}
-                for seed in result.seeds:
-                    engine = MultiTenantEngine(
-                        make_tenants(load),
-                        scheduler=SchedulerConfig(policy=policy),
-                        queues=make_queues(),
-                        hadoop_config=HadoopConfig(map_slots=4, reduce_slots=4),
-                        fault_plan=chaos_plan(seed) if with_chaos else None,
-                        seed=seed,
-                        horizon=horizon,
-                    )
-                    cell[seed] = engine.run()
-                result.cells[(load, policy, with_chaos)] = cell
+                result.cells[(load, policy, with_chaos)] = {
+                    seed: simulate(load, policy, seed, horizon, with_chaos)
+                    .metrics[f"tenants-{policy}"]
+                    for seed in result.seeds
+                }
     return result
 
 
@@ -315,64 +345,37 @@ def write_traced_run(
     policy: str = "fair",
     seed: int = 2011,
     horizon: float = 900.0,
-):
+) -> dict:
     """One fully observed chaos-under-load run; writes trace + manifest.
 
     The trace shows every tenant's queue/dispatch/preempt spans on their
     own tracks next to the per-job map/shuffle work — the whole cluster's
     story under overload and faults, in Perfetto or the dashboard.
     """
-    import time as _time
-
-    from repro.obs import build_manifest, write_trace
-
-    engine = MultiTenantEngine(
-        make_tenants(load),
-        scheduler=SchedulerConfig(policy=policy),
-        queues=make_queues(),
-        hadoop_config=HadoopConfig(map_slots=4, reduce_slots=4),
-        fault_plan=chaos_plan(seed),
-        seed=seed,
-        horizon=horizon,
-        observe=True,
+    traced = write_observed_run(
+        trace_out,
+        "multi_tenant",
+        {"load": load, "policy": policy, "horizon": horizon, "chaos": True},
+        seed,
+        lambda attach: simulate(
+            load, policy, seed, horizon, observe=True, attach=attach
+        ),
     )
-    t0 = _time.perf_counter()
-    report = engine.run()
-    observers = [(f"tenants-{load:g}x-{policy}", engine.sim.obs)]
-    manifest = build_manifest(
-        experiment="multi_tenant",
-        config={
-            "load": load,
-            "policy": policy,
-            "horizon": horizon,
-            "chaos": True,
-        },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"makespan": report["makespan"]},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return report
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return traced.metrics[f"tenants-{policy}"]
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--seeds",
-        type=str,
-        default=None,
+        type=number_list(int, positive=False),
+        default=DEFAULT_SEEDS,
         help="comma-separated arrival/placement seeds (default 2011,2012,2013)",
     )
     parser.add_argument(
         "--loads",
-        type=str,
-        default=None,
+        type=number_list(),
+        default=DEFAULT_LOADS,
         help="comma-separated offered-load multipliers (default 0.5,1,2)",
     )
     parser.add_argument(
@@ -405,12 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         "write Perfetto JSON here",
     )
     args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    loads = _parse_floats(args.loads) if args.loads else DEFAULT_LOADS
+    seeds, loads = args.seeds, args.loads
     policies = (
         tuple(t.strip() for t in args.policies.split(",") if t.strip())
         if args.policies

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, number_list, positive_number
 from repro.hadoop import (
     JAVASORT_PROFILE,
     JobFailedError,
@@ -314,55 +314,41 @@ def format_report(result: NetworkFaultsResult) -> str:
     )
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=float, default=1.0, help="sort input size")
+    parser.add_argument(
+        "--gb", type=positive_number, default=1.0, help="sort input size"
+    )
     parser.add_argument(
         "--seeds",
-        type=str,
-        default=None,
+        type=number_list(int, positive=False),
+        default=DEFAULT_SEEDS,
         help="comma-separated fault seeds (default 2011,2012)",
     )
     parser.add_argument(
         "--rates",
-        type=str,
+        type=number_list(),
         default=None,
         help="comma-separated flow-kill rates per link-hour",
     )
     parser.add_argument(
         "--partitions",
-        type=str,
-        default=None,
+        type=number_list(),
+        default=DEFAULT_PARTITIONS,
         help="comma-separated partition durations (seconds)",
     )
     parser.add_argument(
         "--full", action="store_true", help="wider rate sweep (slower)"
     )
     args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    rates = (
-        _parse_floats(args.rates)
-        if args.rates
-        else (FULL_RATES if args.full else DEFAULT_RATES)
-    )
-    partitions = (
-        _parse_floats(args.partitions) if args.partitions else DEFAULT_PARTITIONS
-    )
+    rates = args.rates or (FULL_RATES if args.full else DEFAULT_RATES)
     print(
         format_report(
             run(
                 input_gb=args.gb,
-                seeds=seeds,
+                seeds=args.seeds,
                 rates_per_link_hour=rates,
-                partition_durations=partitions,
+                partition_durations=args.partitions,
             )
         )
     )

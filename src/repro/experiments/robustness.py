@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, number_list
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobSpec, WORDCOUNT_PROFILE, run_hadoop_job
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.util.units import GiB
+
+DEFAULT_SEEDS = (1, 2, 3, 4, 5)
 
 
 @dataclass
@@ -34,7 +36,7 @@ class RobustnessResult:
         return float(arr.mean()), float(arr.std())
 
 
-def run(seeds: tuple[int, ...] = (1, 2, 3, 4, 5), input_gb: int = 2) -> RobustnessResult:
+def run(seeds: tuple[int, ...] = DEFAULT_SEEDS, input_gb: int = 2) -> RobustnessResult:
     result = RobustnessResult(seeds=tuple(seeds))
     hadoop_cfg = HadoopConfig(map_slots=7, reduce_slots=7)
     wc_spec = JobSpec(
@@ -80,16 +82,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gb", type=int, default=2)
     parser.add_argument(
         "--seeds",
-        type=str,
-        default=None,
+        type=number_list(int, positive=False),
+        default=DEFAULT_SEEDS,
         help="comma-separated placement seeds (default 1,2,3,4,5)",
     )
     args = parser.parse_args(argv)
-    if args.seeds:
-        seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
-        print(format_report(run(seeds=seeds, input_gb=args.gb)))
-    else:
-        print(format_report(run(input_gb=args.gb)))
+    print(format_report(run(seeds=args.seeds, input_gb=args.gb)))
     return 0
 
 

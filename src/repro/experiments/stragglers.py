@@ -11,7 +11,10 @@ production straggler) and measures the job three ways:
 * one straggler node, speculation on — duplicate attempts of slow maps
   race on healthy nodes.
 
-Run: ``python -m repro.experiments.stragglers``
+Run: ``python -m repro.experiments.stragglers [--gb N] [--slowdown X]
+[--seeds a,b] [--out DIR] [--trace-out FILE]``.  :func:`simulate` is the
+one builder of all three scenarios, shared by the sweep and
+``--trace-out``.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
-from repro.experiments.reporting import Table, banner
-from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec, run_hadoop_job
-from repro.util.units import GiB
+from repro.experiments.reporting import Table, banner, number_list
+from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec
+from repro.hadoop.simulation import HadoopSimulation
+from repro.obs import Attach, ObservedRun, write_observed_run
+from repro.util.units import GiB, gib_label
 
 DEFAULT_SEEDS = (2011, 2012, 2013)
 
@@ -49,27 +55,45 @@ class StragglerResult:
         return won_back / lost
 
 
+def simulate(
+    input_bytes: int,
+    seed: int = 2011,
+    slowdown: Optional[float] = 6.0,
+    slow_node: int = 3,
+    speculative: bool = True,
+    observe: bool = False,
+    attach: Optional[Attach] = None,
+) -> ObservedRun:
+    """One JavaSort run with ``slow_node``'s disk ``slowdown`` times slower
+    (None: healthy cluster), speculative execution on or off."""
+    return HadoopSimulation(
+        spec=JobSpec(
+            name=f"sort-{gib_label(input_bytes)}",
+            input_bytes=input_bytes,
+            profile=JAVASORT_PROFILE,
+        ),
+        config=HadoopConfig(speculative_execution=speculative),
+        seed=seed,
+        disk_slowdown=None if slowdown is None else {slow_node: slowdown},
+        observe=observe,
+    ).observed_run("hadoop", attach)
+
+
 def run(
     input_gb: int = 4,
     slow_node: int = 3,
     slowdown: float = 6.0,
     seed: int = 2011,
 ) -> StragglerResult:
-    spec = JobSpec(
-        name=f"sort-{input_gb}g",
-        input_bytes=input_gb * GiB,
-        profile=JAVASORT_PROFILE,
-    )
-    base_cfg = HadoopConfig()
-    spec_cfg = HadoopConfig(speculative_execution=True)
+    def job(slow: Optional[float], speculative: bool) -> JobMetrics:
+        return simulate(
+            input_gb * GiB, seed, slow, slow_node, speculative
+        ).metrics["hadoop"]
+
     return StragglerResult(
-        healthy=run_hadoop_job(spec, config=base_cfg, seed=seed),
-        degraded=run_hadoop_job(
-            spec, config=base_cfg, seed=seed, disk_slowdown={slow_node: slowdown}
-        ),
-        speculative=run_hadoop_job(
-            spec, config=spec_cfg, seed=seed, disk_slowdown={slow_node: slowdown}
-        ),
+        healthy=job(None, speculative=False),
+        degraded=job(slowdown, speculative=False),
+        speculative=job(slowdown, speculative=True),
     )
 
 
@@ -173,41 +197,21 @@ def write_traced_run(
     The trace shows the duplicate ``map<N>.spec`` attempts racing their
     originals on healthy nodes while the slow disk drags its own lane.
     """
-    import time as _time
-
-    from repro.hadoop import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
-    sim = HadoopSimulation(
-        spec=JobSpec(
-            name=f"sort-{input_gb}g",
-            input_bytes=input_gb * GiB,
-            profile=JAVASORT_PROFILE,
-        ),
-        config=HadoopConfig(speculative_execution=True),
-        seed=seed,
-        disk_slowdown={slow_node: slowdown},
-        observe=True,
-    )
-    t0 = _time.perf_counter()
-    metrics = sim.run()
-    observers = [(f"stragglers-{input_gb}g", sim.obs)]
-    manifest = build_manifest(
-        experiment="stragglers",
-        config={
+    traced = write_observed_run(
+        trace_out,
+        "stragglers",
+        {
             "input_gb": input_gb,
             "slow_node": slow_node,
             "slowdown": slowdown,
             "speculative_execution": True,
         },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
+        seed,
+        lambda attach: simulate(
+            input_gb * GiB, seed, slowdown, slow_node, observe=True, attach=attach
+        ),
     )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
+    return traced.metrics["hadoop"]
 
 
 def format_report(result: StragglerResult) -> str:
@@ -241,8 +245,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--slowdown", type=float, default=6.0)
     parser.add_argument(
         "--seeds",
-        type=str,
-        default=None,
+        type=number_list(int, positive=False),
+        default=DEFAULT_SEEDS,
         help="comma-separated placement seeds (default 2011,2012,2013)",
     )
     parser.add_argument(
@@ -257,11 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         "write Perfetto JSON here",
     )
     args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
+    seeds = args.seeds
     results = sweep(input_gb=args.gb, slowdown=args.slowdown, seeds=seeds)
     print(format_report(results[seeds[0]]))
     if len(seeds) > 1:

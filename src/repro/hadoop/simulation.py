@@ -35,7 +35,7 @@ from repro.hadoop.metrics import JobMetrics
 from repro.hadoop.reducetask import reduce_task_process
 from repro.hadoop.storage import StorageManager
 from repro.hadoop.tasktracker import HeartbeatCalendar, TaskTracker
-from repro.obs import Observer
+from repro.obs import ObservedRun, Observer
 from repro.simnet.cluster import Cluster, ClusterSpec
 from repro.simnet.faults import FaultInjector, FaultPlan
 from repro.simnet.kernel import Interrupt, Process, Simulator
@@ -504,6 +504,23 @@ class HadoopSimulation:
         self.start()
         self.sim.run(until=until)
         return self.complete()
+
+    def observed_run(self, system: str, attach=None) -> ObservedRun:
+        """Run as ``system`` of an experiment builder's result.
+
+        ``attach(system, obs)`` is called before the clock starts.  A job
+        that faults killed comes back with ``job_failed`` set on its
+        metrics instead of raising :class:`JobFailedError`.
+        """
+        if attach is not None:
+            attach(system, self.obs)
+        try:
+            metrics = self.run()
+        except JobFailedError as err:
+            metrics = err.metrics
+        return ObservedRun(
+            [(system, self.obs)], {system: metrics.elapsed}, {system: metrics}
+        )
 
     def _finalize_metrics(self) -> None:
         jt = self.jobtracker

@@ -1127,50 +1127,10 @@ def run_mpid_job_under_net_faults(
     network's dice), so the restart sequence is still a pure function of
     (spec, plan, config).
     """
-    cfg = config or MrMpiConfig()
-    cspec = cluster_spec or ClusterSpec()
-    clean = run_mpid_job(spec, config=cfg, cluster_spec=cspec).elapsed
-    out = MrMpiFaultMetrics(job_name=spec.name, clean_elapsed=clean)
-    wall = 0.0
-    attempt = 0
-    while True:
-        # A resubmission starts ``wall`` seconds into the fault timeline:
-        # one-shot outages it outlived never recur, and the re-rolled
-        # seed keeps the loss streams independent across attempts.
-        p = (
-            plan
-            if attempt == 0
-            else replace(
-                plan.shifted(wall),
-                seed=derive_seed(plan.seed, "mpid-net-attempt", attempt),
-            )
-        )
-        sim = MrMpiSimulation(
-            spec=spec,
-            config=cfg,
-            cluster_spec=cspec,
-            fault_plan=p,
-            seed=p.seed,
-        )
-        try:
-            m = sim.run()
-        except MpiJobAborted as exc:
-            out.restarts += 1
-            out.lost_work_seconds += exc.at
-            out.restart_overhead_seconds += cfg.restart_overhead
-            out.flows_lost += exc.metrics.flows_lost
-            out.retransmits += exc.metrics.retransmits
-            wall += exc.at + cfg.restart_overhead
-            if out.restarts > cfg.max_restarts:
-                out.completed = False
-                out.elapsed = float("inf")
-                return out
-            attempt += 1
-            continue
-        out.flows_lost += m.flows_lost
-        out.retransmits += m.retransmits
-        out.elapsed = wall + m.elapsed
-        return out
+    return _resubmit_until_done(
+        spec, plan, config, cluster_spec, "mpid-net-attempt",
+        reroll_placement=True, permanent_damage=False,
+    )
 
 
 def run_mpid_job_under_storage_faults(
@@ -1194,6 +1154,30 @@ def run_mpid_job_under_storage_faults(
     resubmission); the fault streams are re-derived per attempt just as
     in the network-fault loop.
     """
+    return _resubmit_until_done(
+        spec, plan, config, cluster_spec, "mpid-storage-attempt",
+        reroll_placement=False, permanent_damage=True,
+    )
+
+
+def _resubmit_until_done(
+    spec: JobSpec,
+    plan: FaultPlan,
+    config: Optional[MrMpiConfig],
+    cluster_spec: Optional[ClusterSpec],
+    attempt_label: str,
+    reroll_placement: bool,
+    permanent_damage: bool,
+) -> MrMpiFaultMetrics:
+    """Run real DES attempts until one completes or restarts run out.
+
+    ``attempt_label`` names the :func:`derive_seed` stream each
+    resubmission's fault seed comes from.  ``reroll_placement`` seeds
+    each attempt's placement with its own plan seed instead of the
+    original's.  ``permanent_damage`` carries storage damage into every
+    resubmission, counts read failovers, and stops with ``data_lost``
+    once every replica of some block is gone.
+    """
     cfg = config or MrMpiConfig()
     cspec = cluster_spec or ClusterSpec()
     clean = run_mpid_job(spec, config=cfg, cluster_spec=cspec).elapsed
@@ -1202,12 +1186,15 @@ def run_mpid_job_under_storage_faults(
     attempt = 0
     damage: Optional[tuple] = None
     while True:
+        # A resubmission starts ``wall`` seconds into the fault timeline:
+        # one-shot outages it outlived never recur, and the re-rolled
+        # seed keeps the fault streams independent across attempts.
         p = (
             plan
             if attempt == 0
             else replace(
                 plan.shifted(wall),
-                seed=derive_seed(plan.seed, "mpid-storage-attempt", attempt),
+                seed=derive_seed(plan.seed, attempt_label, attempt),
             )
         )
         sim = MrMpiSimulation(
@@ -1215,7 +1202,7 @@ def run_mpid_job_under_storage_faults(
             config=cfg,
             cluster_spec=cspec,
             fault_plan=p,
-            seed=plan.seed,  # placement is layout, not luck: never re-rolled
+            seed=p.seed if reroll_placement else plan.seed,
             prior_damage=damage,
         )
         try:
@@ -1226,7 +1213,7 @@ def run_mpid_job_under_storage_faults(
             out.restart_overhead_seconds += cfg.restart_overhead
             out.flows_lost += exc.metrics.flows_lost
             out.retransmits += exc.metrics.retransmits
-            if sim.storage is not None:
+            if permanent_damage and sim.storage is not None:
                 out.read_failovers += sim.storage.read_failovers
                 damage = sim.storage.damage()
                 if sim.storage.any_block_lost():
@@ -1245,7 +1232,7 @@ def run_mpid_job_under_storage_faults(
             continue
         out.flows_lost += m.flows_lost
         out.retransmits += m.retransmits
-        if sim.storage is not None:
+        if permanent_damage and sim.storage is not None:
             out.read_failovers += sim.storage.read_failovers
         out.elapsed = wall + m.elapsed
         return out

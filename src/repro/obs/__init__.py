@@ -11,7 +11,8 @@ the :class:`~repro.simnet.kernel.Simulator` they already hold:
   depths, slot occupancy, bytes shuffled);
 * exporters — Chrome/Perfetto ``trace_event`` JSON
   (:func:`trace_events` / :func:`write_trace`), an ASCII Gantt renderer
-  (:func:`ascii_gantt`) and per-run manifests (:func:`build_manifest`);
+  (:func:`ascii_gantt`) and per-run manifests (:func:`build_manifest`),
+  all written for one observed run by :func:`write_observed_run`;
 * the streaming layer — an append-as-recorded JSONL trace store
   (:class:`TraceStoreWriter` / :func:`read_events` / :func:`load_tracer`),
   a replay engine folding event streams into time-bucketed frames
@@ -43,6 +44,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     TimeWeightedHistogram,
 )
+from repro.obs.observed import Attach, ObservedRun, write_observed_run
 from repro.obs.observer import NULL_OBS, NullObserver, Observer
 from repro.obs.perfetto import trace_events, validate_trace, write_trace
 from repro.obs.replay import (
@@ -72,6 +74,7 @@ from repro.obs.tenant_analysis import (
 from repro.obs.tracer import Edge, Instant, Span, SpanTracer, TraceError
 
 __all__ = [
+    "Attach",
     "CapacityProjection",
     "Counter",
     "Edge",
@@ -81,6 +84,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_OBS",
     "NullObserver",
+    "ObservedRun",
     "Observer",
     "Replay",
     "ReplayFrame",
@@ -117,5 +121,6 @@ __all__ = [
     "validate_trace",
     "write_dashboard",
     "write_fleet_page",
+    "write_observed_run",
     "write_sweep_browser",
 ]

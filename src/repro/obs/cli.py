@@ -11,123 +11,47 @@ command runs a small experiment with the observer attached and writes
 * optionally a metrics dump (``--metrics-out``, CSV or JSON by
   extension) and an ASCII Gantt of the phase spans (``--gantt``).
 
-Experiments:
+Experiments — each runs its driver's one builder, the same code the
+driver's sweep and ``--trace-out`` run:
 
-* ``fig6``  — WordCount, Hadoop and MPI-D side by side (two pids).
-* ``fig1``  — JavaSort shuffle anatomy on Hadoop.
-* ``fault`` — one Hadoop run under Poisson node churn (fault instants,
-  aborted attempts, re-executions).
+* ``fig6``  — :func:`repro.experiments.fig6_wordcount.simulate`:
+  WordCount, Hadoop and MPI-D side by side (two pids).
+* ``fig1``  — :func:`repro.experiments.fig1_shuffle.simulate`: JavaSort
+  shuffle anatomy on Hadoop.
+* ``fault`` — :func:`repro.experiments.fault_tolerance.simulate`: one
+  Hadoop run under Poisson node churn (fault instants, aborted
+  attempts, re-executions).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
 from pathlib import Path
 
+from repro.experiments import fault_tolerance, fig1_shuffle, fig6_wordcount
+from repro.experiments.reporting import positive_number
 from repro.obs.gantt import ascii_gantt
-from repro.obs.manifest import build_manifest
-from repro.obs.perfetto import write_trace
-from repro.util.units import fmt_bytes, parse_size
+from repro.obs.observed import ObservedRun, write_observed_run
+from repro.util.units import parse_size
 
-_EXPERIMENTS = ("fig6", "fig1", "fault")
-
-
-def _wordcount_spec(nbytes: int):
-    from repro.hadoop import JobSpec, WORDCOUNT_PROFILE
-
-    return JobSpec(
-        name=f"wordcount-{fmt_bytes(nbytes)}",
-        input_bytes=nbytes,
-        profile=WORDCOUNT_PROFILE,
-        num_reduce_tasks=1,
-    )
-
-
-def _run_fig6(nbytes: int, seed: int, attach=None):
-    from repro.hadoop import HadoopConfig
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.mrmpi import MrMpiConfig
-    from repro.mrmpi.simulator import MrMpiSimulation
-
-    spec = _wordcount_spec(nbytes)
-    hsim = HadoopSimulation(
-        spec=spec,
-        config=HadoopConfig(map_slots=7, reduce_slots=7),
-        seed=seed,
-        observe=True,
-    )
-    if attach is not None:
-        attach("hadoop", hsim.obs)
-    hm = hsim.run()
-    msim = MrMpiSimulation(
-        spec=spec, config=MrMpiConfig(num_mappers=49, num_reducers=1), observe=True
-    )
-    if attach is not None:
-        attach("mpid", msim.obs)
-    mm = msim.run()
-    observers = [("hadoop", hsim.obs), ("mpid", msim.obs)]
-    return observers, {"hadoop": hm.elapsed, "mpid": mm.elapsed}
-
-
-def _run_fig1(nbytes: int, seed: int, attach=None):
-    from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobSpec
-    from repro.hadoop.simulation import HadoopSimulation
-
-    spec = JobSpec(
-        name=f"javasort-{fmt_bytes(nbytes)}",
-        input_bytes=nbytes,
-        profile=JAVASORT_PROFILE,
-    )
-    sim = HadoopSimulation(
-        spec=spec,
-        config=HadoopConfig(map_slots=8, reduce_slots=8),
-        seed=seed,
-        observe=True,
-    )
-    if attach is not None:
-        attach("hadoop", sim.obs)
-    metrics = sim.run()
-    return [("hadoop", sim.obs)], {"hadoop": metrics.elapsed}
-
-
-def _run_fault(nbytes: int, seed: int, rate_per_hour: float = 40.0, attach=None):
-    from repro.hadoop import HadoopConfig, JobFailedError
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.simnet.cluster import ClusterSpec
-    from repro.simnet.faults import CrashRate, FaultPlan
-
-    plan = FaultPlan(
-        specs=(
-            CrashRate(
-                rate=rate_per_hour / 3600.0,
-                nodes=tuple(range(1, ClusterSpec().num_nodes)),
-                restart_after=30.0,
-            ),
-        ),
-        seed=seed,
-    )
-    sim = HadoopSimulation(
-        spec=_wordcount_spec(nbytes),
-        config=HadoopConfig(
-            map_slots=7, reduce_slots=7, tasktracker_expiry_interval=60.0
-        ),
-        seed=seed,
-        fault_plan=plan,
-        observe=True,
-    )
-    if attach is not None:
-        attach("hadoop-faulted", sim.obs)
-    try:
-        metrics = sim.run()
-    except JobFailedError as err:
-        metrics = err.metrics
-    return [("hadoop-faulted", sim.obs)], {"hadoop-faulted": metrics.elapsed}
+#: Experiment name -> ``build(nbytes, seed, rate, attach)``: the driver's
+#: one builder, run with observers on.
+BUILDERS = {
+    "fig6": lambda nbytes, seed, rate, attach: fig6_wordcount.simulate(
+        nbytes, seed, observe=True, attach=attach
+    ),
+    "fig1": lambda nbytes, seed, rate, attach: fig1_shuffle.simulate(
+        nbytes, seed, observe=True, attach=attach
+    ),
+    "fault": lambda nbytes, seed, rate, attach: fault_tolerance.simulate(
+        nbytes, seed, rate, observe=True, attach=attach
+    ),
+}
 
 
 def run_experiment(experiment: str, nbytes: int, seed: int,
-                   rate_per_hour: float = 40.0, attach=None):
+                   rate_per_hour: float = 40.0, attach=None) -> ObservedRun:
     """Run one named experiment with observers on; shared with ``replay``.
 
     ``attach(name, obs)`` — when given — is called for each simulation
@@ -135,13 +59,21 @@ def run_experiment(experiment: str, nbytes: int, seed: int,
     a streaming store can hook the tracer/metrics sinks and still see
     every event.
     """
-    if experiment == "fig6":
-        return _run_fig6(nbytes, seed, attach=attach)
-    if experiment == "fig1":
-        return _run_fig1(nbytes, seed, attach=attach)
-    if experiment == "fault":
-        return _run_fault(nbytes, seed, rate_per_hour, attach=attach)
-    raise ValueError(f"unknown experiment {experiment!r}")
+    if experiment not in BUILDERS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    return BUILDERS[experiment](nbytes, seed, rate_per_hour, attach)
+
+
+def size_arg(text: str) -> str:
+    """argparse ``type=`` for ``--size``: checks for a positive size like
+    ``256MB`` and keeps the text, which the manifest records as given."""
+    try:
+        nbytes = parse_size(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if nbytes <= 0:
+        raise argparse.ArgumentTypeError(f"size must be positive: {text!r}")
+    return text
 
 
 def _write_metrics(path: Path, observers) -> None:
@@ -170,13 +102,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro trace", description=__doc__
     )
-    parser.add_argument("experiment", choices=_EXPERIMENTS)
+    parser.add_argument("experiment", choices=list(BUILDERS))
     parser.add_argument(
-        "--size", type=str, default="1GB", help="input size (e.g. 256MB, 1GB)"
+        "--size", type=size_arg, default="1GB", help="input size (e.g. 256MB, 1GB)"
     )
     parser.add_argument("--seed", type=int, default=2011)
     parser.add_argument(
-        "--rate", type=float, default=40.0, help="fault: crashes per node-hour"
+        "--rate", type=positive_number, default=40.0,
+        help="fault: crashes per node-hour",
     )
     parser.add_argument(
         "--trace-out", type=Path, default=Path("trace.json"),
@@ -216,45 +149,29 @@ def main(argv: list[str] | None = None) -> int:
     def _resolve(path: Path) -> Path:
         return out_dir / path if out_dir is not None and not path.is_absolute() else path
 
-    trace_out = _resolve(args.trace_out)
-    writers = []
-    store_paths: list[Path] = []
-
-    def _attach(name: str, obs) -> None:
-        if not args.stream:
-            return
-        path = _resolve(Path(f"{args.experiment}.{name}.store.jsonl"))
-        writers.append(obs.stream_to(path, system=name))
-        store_paths.append(path)
+    def _store(system: str) -> Path:
+        return _resolve(Path(f"{args.experiment}.{system}.store.jsonl"))
 
     nbytes = parse_size(args.size)
-    t0 = time.perf_counter()
-    try:
-        observers, sim_elapsed = run_experiment(
-            args.experiment, nbytes, args.seed, args.rate, attach=_attach
-        )
-    finally:
-        for writer in writers:
-            writer.close()
-    wall = time.perf_counter() - t0
-
-    manifest = build_manifest(
-        experiment=args.experiment,
-        config={"size": args.size, "seed": args.seed, "rate": args.rate},
-        seed=args.seed,
-        observers=observers,
-        wall_seconds=wall,
-        sim_elapsed=sim_elapsed,
+    trace_out = _resolve(args.trace_out)
+    run = write_observed_run(
+        trace_out,
+        args.experiment,
+        {"size": args.size, "seed": args.seed, "rate": args.rate},
+        args.seed,
+        lambda attach: run_experiment(
+            args.experiment, nbytes, args.seed, args.rate, attach=attach
+        ),
+        store_path=_store if args.stream else None,
     )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
+    observers = run.observers
     print(f"wrote {trace_out} (+ {trace_out}.manifest.json)")
-    for path in store_paths:
+    for path in run.stores:
         print(f"wrote {path} (streamed trace store)")
     for name, obs in observers:
         counts = obs.event_counts()
         print(
-            f"  {name}: {sim_elapsed[name]:.2f} simulated seconds, "
+            f"  {name}: {run.sim_elapsed[name]:.2f} simulated seconds, "
             f"{counts['spans']} spans, {counts['instants']} instants, "
             f"{counts['metrics']} metrics"
         )
@@ -273,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         write_dashboard(
             dash, replays,
             title=f"repro trace — {args.experiment} {args.size}",
-            manifest=manifest,
+            manifest=run.manifest,
         )
         print(f"wrote {dash} — open it in a browser to replay this run")
     if args.gantt:

@@ -168,6 +168,7 @@ class _Fold:
         self.link_active: dict[str, int] = {}
         self.pair_bytes: dict[str, float] = {}
         self.inflight = 0.0
+        self.flows_open = 0
         self.repairs_now = 0
         self.delivered = 0.0
         self.spans_seen = 0
@@ -289,6 +290,7 @@ class _Fold:
             pair = f"{src}>{dst}"
             self.pair_bytes[pair] = self.pair_bytes.get(pair, 0.0) + nbytes
             self.inflight += nbytes
+            self.flows_open += 1
             for link in links:
                 self.link_active[link] = self.link_active.get(link, 0) + 1
 
@@ -310,7 +312,10 @@ class _Fold:
             _, src, dst, nbytes, links = role
             pair = f"{src}>{dst}"
             self.pair_bytes[pair] = self.pair_bytes.get(pair, 0.0) - nbytes
-            self.inflight -= nbytes
+            self.flows_open -= 1
+            # Summing and subtracting float sizes leaves a rounding
+            # residue; with no flow open, nothing is in flight.
+            self.inflight = self.inflight - nbytes if self.flows_open else 0.0
             self.delivered += nbytes
             for link in links:
                 self.link_active[link] = self.link_active.get(link, 0) - 1

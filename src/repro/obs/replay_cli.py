@@ -7,8 +7,9 @@ playback scrubber (see :mod:`repro.obs.dashboard`).
 
 The target decides where the events come from:
 
-* ``fig6`` / ``fig1`` / ``fault`` — run that experiment now (same
-  runners as ``repro trace``) and replay the live observers;
+* ``fig6`` / ``fig1`` / ``fault`` — run that experiment's driver
+  builder now (the same one ``repro trace`` and the driver run) and
+  replay the live observers;
 * ``*.jsonl`` — a streamed trace store written by ``repro trace
   --stream`` (read chunked; memory stays O(chunk), not O(trace));
 * ``*.json``  — an existing Perfetto ``trace_event`` export;
@@ -26,7 +27,10 @@ import argparse
 import json
 from pathlib import Path
 
+from repro.experiments.reporting import positive_number
+from repro.obs.cli import BUILDERS, run_experiment, size_arg
 from repro.util.units import parse_size
+
 
 def _dump_json(path: Path, replays) -> None:
     payload = {name: r.to_dict() for name, r in replays}
@@ -50,12 +54,12 @@ def main(argv: list[str] | None = None) -> int:
         help="fleet: directory of .jsonl trace stores",
     )
     parser.add_argument(
-        "--size", type=str, default="1GB",
+        "--size", type=size_arg, default="1GB",
         help="experiment targets: input size (e.g. 256MB, 1GB)",
     )
     parser.add_argument("--seed", type=int, default=2011)
     parser.add_argument(
-        "--rate", type=float, default=40.0,
+        "--rate", type=positive_number, default=40.0,
         help="fault target: crashes per node-hour",
     )
     parser.add_argument(
@@ -125,15 +129,11 @@ def main(argv: list[str] | None = None) -> int:
 
     target = args.target
     manifest = None
-    if target in ("fig6", "fig1", "fault"):
-        from repro.obs.cli import run_experiment
-
-        observers, sim_elapsed = run_experiment(
-            target, parse_size(args.size), args.seed, args.rate
-        )
+    if target in BUILDERS:
+        run = run_experiment(target, parse_size(args.size), args.seed, args.rate)
         replays = [
             (name, replay_observer(obs, system=name, buckets=args.buckets))
-            for name, obs in observers
+            for name, obs in run.observers
         ]
         title = f"repro replay — {target} {args.size}"
     elif target.endswith((".jsonl", ".json")):

@@ -29,7 +29,7 @@ simulated time passes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Protocol, Union
+from typing import Iterable, Optional, Protocol, Union, get_args
 
 from repro.simnet.cluster import Cluster, Node
 from repro.simnet.kernel import Interrupt, Process, Simulator
@@ -37,6 +37,50 @@ from repro.util.rng import make_rng
 
 
 # -- fault specifications ----------------------------------------------------
+#
+# Every check is written so that NaN fails it (``not 0 <= x < inf``
+# rather than ``x < 0``): a NaN or infinite time, rate or factor would
+# otherwise reach the kernel as an unschedulable delay.
+_INF = float("inf")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _check_node(what: str, node: int) -> None:
+    _check(0 <= node < _INF, f"{what} of invalid node id: {node}")
+
+
+def _check_time(what: str, value: float) -> None:
+    _check(0 <= value < _INF, f"{what} must be finite and non-negative: {value}")
+
+
+def _check_positive(what: str, value: float) -> None:
+    _check(0 < value < _INF, f"{what} must be positive and finite: {value}")
+
+
+def _check_duration(value: Optional[float]) -> None:
+    if value is not None:
+        _check_positive("duration (or None for open-ended)", value)
+
+
+def _check_node_set(what: str, nodes: Optional[tuple[int, ...]]) -> None:
+    if nodes is not None:
+        _check(bool(nodes), "empty node tuple (use None for the default set)")
+        for node in nodes:
+            _check(0 <= node < _INF, f"invalid node id in {what} set: {node}")
+
+
+def _check_stream(what: str, spec) -> None:
+    """The checks every seeded-rate spec with a time window shares."""
+    _check_positive(f"{what} rate", spec.rate)
+    _check_time("start time", spec.start)
+    _check_duration(spec.duration)
+    _check_node_set(what, spec.nodes)
+
+
 @dataclass(frozen=True)
 class NodeCrash:
     """Node ``node`` fails at time ``at``; optionally restarts later.
@@ -52,14 +96,10 @@ class NodeCrash:
     restart_after: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"crash of negative node id: {self.node}")
-        if self.at < 0:
-            raise ValueError(f"crash time may not be negative: {self.at}")
-        if self.restart_after is not None and self.restart_after <= 0:
-            raise ValueError(
-                f"restart_after must be positive (or None): {self.restart_after}"
-            )
+        _check_node("crash", self.node)
+        _check_time("crash time", self.at)
+        if self.restart_after is not None:
+            _check_positive("restart_after", self.restart_after)
 
 
 @dataclass(frozen=True)
@@ -81,18 +121,10 @@ class CrashRate:
     start: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"crash rate must be positive: {self.rate}")
-        if self.restart_after <= 0:
-            raise ValueError(f"restart_after must be positive: {self.restart_after}")
-        if self.start < 0:
-            raise ValueError(f"start time may not be negative: {self.start}")
-        if self.nodes is not None:
-            if not self.nodes:
-                raise ValueError("empty node tuple (use None for the default set)")
-            for node in self.nodes:
-                if node < 0:
-                    raise ValueError(f"negative node id in crash set: {node}")
+        _check_positive("crash rate", self.rate)
+        _check_positive("restart_after", self.restart_after)
+        _check_time("start time", self.start)
+        _check_node_set("crash", self.nodes)
 
 
 @dataclass(frozen=True)
@@ -105,19 +137,14 @@ class _Degradation:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"degradation of negative node id: {self.node}")
-        if self.at < 0:
-            raise ValueError(f"degradation time may not be negative: {self.at}")
-        if self.factor < 1.0:
-            raise ValueError(
-                f"slowdown factor must be >= 1 (got {self.factor}); a fault "
-                f"never makes hardware faster"
-            )
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive (or None for permanent): {self.duration}"
-            )
+        _check_node("degradation", self.node)
+        _check_time("degradation time", self.at)
+        _check(
+            1.0 <= self.factor < _INF,
+            f"slowdown factor must be finite and >= 1 (got {self.factor}); "
+            f"a fault never makes hardware faster",
+        )
+        _check_duration(self.duration)
 
 
 class DiskDegradation(_Degradation):
@@ -150,22 +177,17 @@ class LinkFlap:
     period: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"link flap of negative node id: {self.node}")
-        if self.at < 0:
-            raise ValueError(f"flap time may not be negative: {self.at}")
-        if self.duration <= 0:
-            raise ValueError(f"flap duration must be positive: {self.duration}")
-        if self.flaps < 1:
-            raise ValueError(f"flap count must be >= 1: {self.flaps}")
+        _check_node("link flap", self.node)
+        _check_time("flap time", self.at)
+        _check_positive("flap duration", self.duration)
+        _check(1 <= self.flaps < _INF, f"flap count must be >= 1: {self.flaps}")
         if self.flaps > 1:
-            if self.period is None:
-                raise ValueError("repeated flaps need a period")
-            if self.period <= self.duration:
-                raise ValueError(
-                    f"flap period ({self.period}) must exceed the outage "
-                    f"duration ({self.duration})"
-                )
+            _check(self.period is not None, "repeated flaps need a period")
+            _check(
+                self.duration < self.period < _INF,
+                f"flap period ({self.period}) must be finite and exceed the "
+                f"outage duration ({self.duration})",
+            )
 
 
 @dataclass(frozen=True)
@@ -185,14 +207,10 @@ class NetworkPartition:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
-        if not self.nodes:
-            raise ValueError("partition needs at least one node on the cut side")
-        if self.nodes[0] < 0:
-            raise ValueError(f"negative node id in partition: {self.nodes[0]}")
-        if self.at < 0:
-            raise ValueError(f"partition time may not be negative: {self.at}")
-        if self.duration <= 0:
-            raise ValueError(f"partition duration must be positive: {self.duration}")
+        _check(bool(self.nodes), "partition needs at least one node on the cut side")
+        _check_node_set("partition", self.nodes)
+        _check_time("partition time", self.at)
+        _check_positive("partition duration", self.duration)
 
 
 @dataclass(frozen=True)
@@ -215,20 +233,7 @@ class FlowLossRate:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"loss rate must be positive: {self.rate}")
-        if self.start < 0:
-            raise ValueError(f"start time may not be negative: {self.start}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive (or None for open-ended): {self.duration}"
-            )
-        if self.nodes is not None:
-            if not self.nodes:
-                raise ValueError("empty node tuple (use None for all nodes)")
-            for node in self.nodes:
-                if node < 0:
-                    raise ValueError(f"negative node id in loss set: {node}")
+        _check_stream("loss", self)
 
 
 @dataclass(frozen=True)
@@ -251,20 +256,7 @@ class DiskFailure:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"disk failure rate must be positive: {self.rate}")
-        if self.start < 0:
-            raise ValueError(f"start time may not be negative: {self.start}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive (or None for open-ended): {self.duration}"
-            )
-        if self.nodes is not None:
-            if not self.nodes:
-                raise ValueError("empty node tuple (use None for the default set)")
-            for node in self.nodes:
-                if node < 0:
-                    raise ValueError(f"negative node id in disk-failure set: {node}")
+        _check_stream("disk failure", self)
 
 
 @dataclass(frozen=True)
@@ -285,20 +277,7 @@ class BlockCorruption:
     duration: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"corruption rate must be positive: {self.rate}")
-        if self.start < 0:
-            raise ValueError(f"start time may not be negative: {self.start}")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive (or None for open-ended): {self.duration}"
-            )
-        if self.nodes is not None:
-            if not self.nodes:
-                raise ValueError("empty node tuple (use None for the default set)")
-            for node in self.nodes:
-                if node < 0:
-                    raise ValueError(f"negative node id in corruption set: {node}")
+        _check_stream("corruption", self)
 
 
 @dataclass(frozen=True)
@@ -316,10 +295,8 @@ class Decommission:
     at: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.node < 0:
-            raise ValueError(f"decommission of negative node id: {self.node}")
-        if self.at < 0:
-            raise ValueError(f"decommission time may not be negative: {self.at}")
+        _check_node("decommission", self.node)
+        _check_time("decommission time", self.at)
 
 
 FaultSpec = Union[
@@ -358,22 +335,7 @@ class FaultPlan:
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
         for spec in self.specs:
-            if not isinstance(
-                spec,
-                (
-                    NodeCrash,
-                    CrashRate,
-                    DiskDegradation,
-                    LinkDegradation,
-                    Straggler,
-                    LinkFlap,
-                    NetworkPartition,
-                    FlowLossRate,
-                    DiskFailure,
-                    BlockCorruption,
-                    Decommission,
-                ),
-            ):
+            if not isinstance(spec, get_args(FaultSpec)):
                 raise TypeError(f"not a fault spec: {spec!r}")
 
     def __bool__(self) -> bool:

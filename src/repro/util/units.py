@@ -86,6 +86,18 @@ def fmt_bytes(nbytes: float) -> str:
     return f"{sign}{n:.1f} B"
 
 
+def gib_label(nbytes: float) -> str:
+    """A job-name size tag in GiB, e.g. ``4g`` for ``4 * GiB``.
+
+    A float byte count keeps its float form (``1.0 * GiB`` -> ``1.0g``)
+    and a part-GiB count shows the fraction (256 MiB -> ``0.25g``), so
+    ``gib_label(gb * GiB) == f"{gb}g"`` for the sizes drivers take.
+    """
+    if isinstance(nbytes, int) and nbytes % GiB == 0:
+        return f"{nbytes // GiB}g"
+    return f"{nbytes / GiB}g"
+
+
 def fmt_time(seconds: float) -> str:
     """Format a duration: microseconds below 1 ms, ms below 1 s, else seconds."""
     s = float(seconds)

@@ -8,6 +8,7 @@ from repro.experiments import fault_tolerance
 from repro.experiments.export import fault_tolerance_csv, render_csv
 from repro.hadoop import HadoopConfig, run_hadoop_job
 from repro.mrmpi import run_mpid_job
+from repro.util.units import GiB
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ class TestRun:
         assert r.hadoop_clean > r.mpid_clean > 0  # the Fig-6 ordering
 
     def test_clean_baselines_match_direct_runs(self, small_result):
-        spec = fault_tolerance._spec(1)
+        spec = fault_tolerance.wordcount_spec(1 * GiB)
         cfg = HadoopConfig(
             map_slots=7, reduce_slots=7, tasktracker_expiry_interval=60.0
         )

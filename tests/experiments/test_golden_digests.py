@@ -37,6 +37,8 @@ GOLDEN = {
     "scalability_multi_tenant_100": "aebce395ea78aa253ce26b422e3dfabfc47390ce746ca59c33cda1fc77804fd1",
     "fig6_1gb_store_hadoop": "dc3227e5e97e24e55253bdabf2034f3d457ad0ff5609ae88491d055989666ac9",
     "fig6_1gb_store_mpid": "20f44631afb32edec6f6a9a9d521cc9ef9f40f5dd92c058315cf635828fde25c",
+    "cli_fig1_64mb_store_hadoop": "f68215745dad1695544f2ea92528dd7903a87338d7f79124d32879be001318be",
+    "cli_fault_64mb_store_hadoop-faulted": "1867dc5621e100924d574d24b7f525c8133317c4d455770454b6231d54b7a80f",
 }
 
 
@@ -119,3 +121,30 @@ def fig6_1gb_stores(tmp_path_factory):
 @pytest.mark.parametrize("system", ["hadoop", "mpid"])
 def test_fig6_1gb_store(fig6_1gb_stores, system):
     _check(f"fig6_1gb_store_{system}", fig6_1gb_stores[system])
+
+
+def _cli_stores(out, experiment: str, rate: float) -> dict:
+    """What ``repro trace <experiment> --size 64MB --stream`` streams: the
+    runner ``repro trace`` and ``repro replay`` share, one store per system."""
+    from repro.obs.cli import run_experiment
+    from repro.util.units import MiB
+
+    writers = {}
+
+    def attach(system, obs):
+        writers[system] = obs.stream_to(out / f"{experiment}.{system}.jsonl", system=system)
+
+    run_experiment(experiment, 64 * MiB, 2011, rate, attach=attach)
+    for writer in writers.values():
+        writer.close()
+    return {system: (out / f"{experiment}.{system}.jsonl").read_bytes() for system in writers}
+
+
+@pytest.mark.parametrize(
+    "experiment, rate, system",
+    [("fig1", 40.0, "hadoop"), ("fault", 40.0, "hadoop-faulted")],
+)
+def test_cli_64mb_store(tmp_path, experiment, rate, system):
+    stores = _cli_stores(tmp_path, experiment, rate)
+    assert set(stores) == {system}
+    _check(f"cli_{experiment}_64mb_store_{system}", stores[system])

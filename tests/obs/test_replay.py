@@ -197,6 +197,21 @@ class TestSyntheticFolds:
         assert r.total_bytes_delivered == pytest.approx(1000.0)
         assert r.nodes == ["node1", "node2"]
 
+    def test_no_rounding_residue_once_every_flow_closed(self):
+        # 0.1 + 0.2 + 0.3 - 0.1 - 0.2 - 0.3 is not 0.0 in floats.
+        sizes = (0.1, 0.2, 0.3)
+        events = [
+            {"k": "begin", "sid": i, "parent": 0, "cat": "net",
+             "name": "xfer node1.up->node2.down", "track": f"f{i}", "t0": 0.0,
+             "args": {"nbytes": n}}
+            for i, n in enumerate(sizes, start=1)
+        ] + [
+            {"k": "end", "sid": i, "t1": 1.0 + i, "args": {}}
+            for i in range(1, len(sizes) + 1)
+        ]
+        r = replay_events(events, t_end=8.0, buckets=2)
+        assert r.final_inflight_bytes == 0.0
+
     def test_markers_capped_but_counted(self):
         events = [
             {"k": "instant", "t": 0.5, "cat": "fault", "name": f"crash {i}",
