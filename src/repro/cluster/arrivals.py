@@ -142,12 +142,18 @@ def _arrival_times(tenant: TenantSpec, rng: np.random.Generator, horizon: float)
     return times
 
 
+def check_horizon(horizon: float) -> None:
+    """An arrival horizon must be finite and positive: NaN would yield
+    no arrivals at all, and inf would never end the arrival loops."""
+    if not 0 < horizon < _INF:
+        raise ValueError(f"horizon must be finite and positive: {horizon}")
+
+
 def tenant_arrivals(
     tenant: TenantSpec, seed: int, horizon: float
 ) -> list[Arrival]:
     """Materialize one tenant's whole stream (sorted by time)."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive: {horizon}")
+    check_horizon(horizon)
     rng = make_rng(seed, "arrivals", tenant.name)
     times = sorted(_arrival_times(tenant, rng, horizon))
     # Per-job attribute draws come from a second stream so reshaping the
@@ -188,6 +194,7 @@ def build_arrivals(
     tenants: list[TenantSpec], seed: int, horizon: float
 ) -> list[Arrival]:
     """The full offered load for one multi-tenant run."""
+    check_horizon(horizon)
     names = [t.name for t in tenants]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names: {names}")

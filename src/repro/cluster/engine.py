@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.arrivals import (
     Arrival,
     TenantSpec,
     build_arrivals,
+    check_horizon,
     offered_load_summary,
 )
 from repro.cluster.scheduler import ClusterScheduler, QueueConfig, SchedulerConfig
@@ -163,6 +164,7 @@ class MultiTenantEngine:
                 "degradation specs only"
             )
         self.seed = seed
+        check_horizon(horizon)
         self.horizon = horizon
         self.observe = observe
         self.mpid_max_mappers = mpid_max_mappers

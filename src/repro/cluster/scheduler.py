@@ -77,11 +77,15 @@ class QueueConfig:
             )
 
 
+#: The scheduling policies :class:`SchedulerConfig` accepts.
+POLICIES = ("fair", "capacity", "fifo")
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Cluster-wide scheduling policy knobs."""
 
-    policy: str = "fair"  # fair | capacity | fifo
+    policy: str = "fair"  # one of POLICIES
     #: Kill over-entitlement attempts to give starved jobs their share.
     #: Preempted work requeues without burning a retry (the Fair
     #: Scheduler's kill-and-requeue, not Hadoop 2's checkpointing).
@@ -93,7 +97,7 @@ class SchedulerConfig:
     preemption_grace_slots: int = 1
 
     def __post_init__(self) -> None:
-        if self.policy not in ("fair", "capacity", "fifo"):
+        if self.policy not in POLICIES:
             raise ValueError(f"unknown policy: {self.policy!r}")
         if self.preemption_interval <= 0:
             raise ValueError("preemption_interval must be positive")

@@ -16,11 +16,10 @@ Run: ``python -m repro.experiments.ablation_combiner``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, replace
 
 from repro.core import MapReduceJob, SummingCombiner, run_job
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser, number
 from repro.hadoop.job import WORDCOUNT_PROFILE, JobSpec
 from repro.mrmpi import run_mpid_job
 from repro.util.units import GiB
@@ -112,8 +111,11 @@ def format_report(result: CombinerAblation) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--corpus-bytes", type=int, default=60_000)
+    parser = driver_parser(__doc__)
+    parser.add_argument(
+        "--corpus-bytes", type=number(int), default=60_000,
+        help="functional-plane corpus size, bytes (default 60000)",
+    )
     args = parser.parse_args(argv)
     print(format_report(run(corpus_bytes=args.corpus_bytes)))
     return 0

@@ -11,11 +11,10 @@ Run: ``python -m repro.experiments.ablation_compression``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from repro.core import MapReduceJob, MpiDConfig, run_job
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop.job import JAVASORT_PROFILE, JobSpec
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.util.units import GiB
@@ -96,7 +95,7 @@ def format_report(result: CompressionAblation) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    driver_parser(__doc__).parse_args(argv)
     print(format_report(run()))
     return 0
 

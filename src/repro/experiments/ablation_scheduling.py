@@ -12,10 +12,9 @@ Run: ``python -m repro.experiments.ablation_scheduling``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE, run_hadoop_job
 from repro.util.units import GiB
 
@@ -96,7 +95,7 @@ def format_report(result: SchedulingAblation) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__).parse_args(argv)
+    driver_parser(__doc__).parse_args(argv)
     print(format_report(run()))
     return 0
 

@@ -24,7 +24,6 @@ CI fleet-smoke job byte-diffs across same-seed double runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,13 @@ from repro.cluster import (
     QueueConfig,
     SchedulerConfig,
 )
-from repro.experiments.reporting import Table, banner, number_list
+from repro.experiments.reporting import (
+    Table,
+    banner,
+    driver_parser,
+    number_list,
+    positive_number,
+)
 from repro.hadoop import WORDCOUNT_PROFILE, HadoopConfig, JobSpec
 from repro.obs.tenant_analysis import (
     CapacityProjection,
@@ -371,17 +376,18 @@ def format_report(report: dict) -> str:
     )
 
 
+def export(report: dict, out_dir: Path) -> Path:
+    """Write capacity.json into ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / "capacity.json"
+    with path.open("w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer/smaller jobs, skip the add-nodes scenario (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write capacity.json here (a directory)",
-    )
+    parser = driver_parser(__doc__, seed=2011, quick=False, out=None)
     parser.add_argument(
         "--store-out", type=Path, default=None,
         help="also produce seeded multi-tenant .jsonl stores for the "
@@ -392,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated seeds for --store-out (default 2011,2012)",
     )
     parser.add_argument(
-        "--store-horizon", type=float, default=240.0,
+        "--store-horizon", type=positive_number, default=240.0,
         help="arrival horizon for --store-out runs (default 240)",
     )
     args = parser.parse_args(argv)
@@ -404,12 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         print("\nFAIL: fewer than 2 gated projections met the error target")
         status = 1
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "capacity.json"
-        with path.open("w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
+        print(f"wrote {export(report, args.out)}")
     if args.store_out is not None:
         for path in produce_stores(
             args.store_out, seeds=args.store_seeds, horizon=args.store_horizon

@@ -27,11 +27,10 @@ Run: ``python -m repro.experiments.critical_path [--full] [--validate]``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser, number
 from repro.hadoop import HadoopConfig, WORDCOUNT_PROFILE, JobSpec
 from repro.hadoop.simulation import HadoopSimulation
 from repro.obs.analysis import (
@@ -243,18 +242,15 @@ def format_report(result: CriticalPathResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="sweep 1/10/50/100 GB (slow)"
-    )
-    parser.add_argument("--seed", type=int, default=2011)
+    parser = driver_parser(__doc__, full=False, seed=2011)
     parser.add_argument(
         "--validate",
         action="store_true",
         help="re-run the simulator with the top what-if knob turned",
     )
     parser.add_argument(
-        "--pct", type=float, default=0.25, help="virtual speedup to validate"
+        "--pct", type=number(below=1.0), default=0.25,
+        help="virtual speedup to validate, a fraction below 1 (default 0.25)",
     )
     args = parser.parse_args(argv)
     sizes = (1.0, 10.0, 50.0, 100.0) if args.full else (1.0, 10.0)

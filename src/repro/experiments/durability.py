@@ -27,8 +27,6 @@ shared by the sweep and ``--trace-out``.
 
 from __future__ import annotations
 
-import argparse
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,7 +34,13 @@ import numpy as np
 
 from repro.experiments.fault_tolerance import WORKERS, failure_record
 from repro.experiments.fig6_wordcount import wordcount_spec
-from repro.experiments.reporting import Table, banner, number_list, positive_number
+from repro.experiments.reporting import (
+    Table,
+    banner,
+    driver_parser,
+    number_list,
+    positive_number,
+)
 from repro.hadoop import HadoopConfig, JobMetrics
 from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import (
@@ -352,21 +356,8 @@ def write_traced_run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--gb", type=positive_number, default=4.0, help="WordCount input size"
-    )
-    parser.add_argument(
-        "--seeds",
-        type=number_list(int, positive=False),
-        default=DEFAULT_SEEDS,
-        help="comma-separated fault/placement seeds (default 2011,2012,2013)",
-    )
-    parser.add_argument(
-        "--rates",
-        type=number_list(),
-        default=DEFAULT_RATES,
-        help="comma-separated disk-failure rates per node-hour",
+    parser = driver_parser(
+        __doc__, gb=4.0, seeds=DEFAULT_SEEDS, rates=DEFAULT_RATES, trace_out=None
     )
     parser.add_argument(
         "--replications",
@@ -375,16 +366,8 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated dfs.replication values to sweep (default 1,2,3)",
     )
     parser.add_argument(
-        "--repair-cap-mib",
-        type=float,
-        default=10.0,
-        help="HDFS repair bandwidth cap per stream, MiB/s",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run one traced disk-churned 1 GB job; write Perfetto JSON here",
+        "--repair-cap-mib", type=positive_number, default=10.0,
+        help="HDFS repair bandwidth cap per stream, MiB/s (default 10)",
     )
     args = parser.parse_args(argv)
     print(

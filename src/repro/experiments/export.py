@@ -14,7 +14,6 @@ CSVs' aggregate rows deliberately drop.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
@@ -27,6 +26,7 @@ from repro.experiments import critical_path as critical_path_exp
 from repro.experiments import durability, fault_tolerance, fig1_shuffle
 from repro.experiments import fig2_latency, fig3_bandwidth, fig6_wordcount
 from repro.experiments import multi_tenant, network_faults, table1_copy_pct
+from repro.experiments.reporting import driver_parser
 from repro.obs.analysis import STAGES
 from repro.util.units import GiB
 
@@ -546,8 +546,7 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("results"))
+    parser = driver_parser(__doc__, out=Path("results"))
     parser.add_argument(
         "--only", nargs="+", default=None, metavar="FILE",
         help="export just these files (e.g. fig6_wordcount.csv) "

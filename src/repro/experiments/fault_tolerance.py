@@ -29,7 +29,6 @@ repro replay fault`` all run it.
 
 from __future__ import annotations
 
-import argparse
 import math
 import re
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from repro.experiments.fig6_wordcount import wordcount_spec
-from repro.experiments.reporting import Table, banner, number_list
+from repro.experiments.reporting import Table, banner, driver_parser, positive_number
 from repro.hadoop import HadoopConfig, JobMetrics
 from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import MrMpiConfig, run_mpid_job, run_mpid_job_under_faults
@@ -393,34 +392,12 @@ def write_traced_run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=10, help="WordCount input size")
-    parser.add_argument(
-        "--seeds",
-        type=number_list(int, positive=False),
-        default=DEFAULT_SEEDS,
-        help="comma-separated fault/placement seeds (default 2011,2012,2013)",
+    parser = driver_parser(
+        __doc__, gb=10, seeds=DEFAULT_SEEDS, rates=None, full=False, trace_out=None
     )
     parser.add_argument(
-        "--rates",
-        type=number_list(),
-        default=None,
-        help="comma-separated crash rates per node-hour",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        type=float,
-        default=None,
+        "--checkpoint", type=positive_number, default=None,
         help="enable MPI-D checkpointing with this progress interval (s)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="wider rate sweep (slower)"
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run one traced faulted 1 GB job; write Perfetto JSON here",
     )
     args = parser.parse_args(argv)
     rates = args.rates or (FULL_RATES if args.full else DEFAULT_RATES)

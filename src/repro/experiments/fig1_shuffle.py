@@ -14,13 +14,12 @@ replay fig1`` run it too.
 
 from __future__ import annotations
 
-import argparse
 from typing import Optional
 
 import numpy as np
 
 from repro.experiments import paper
-from repro.experiments.reporting import Table, banner, compare_to_paper
+from repro.experiments.reporting import Table, banner, compare_to_paper, driver_parser
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec
 from repro.hadoop.simulation import HadoopSimulation
 from repro.obs import Attach, ObservedRun, write_observed_run
@@ -113,22 +112,11 @@ def format_report(metrics: JobMetrics, show_reducers: int = 12) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="run the paper's 150 GB input"
-    )
-    parser.add_argument("--gb", type=int, default=None, help="input size in GiB")
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run once observed; write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    gb = 150 if args.full else (args.gb or 16)
-    print(format_report(run(input_bytes=gb * GiB)))
+    args = driver_parser(__doc__, full=False, gb=16, trace_out=None).parse_args(argv)
+    input_bytes = (150 if args.full else args.gb) * GiB
+    print(format_report(run(input_bytes=input_bytes)))
     if args.trace_out is not None:
-        write_traced_run(args.trace_out, input_bytes=gb * GiB)
+        write_traced_run(args.trace_out, input_bytes=input_bytes)
         print(f"\nwrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
     return 0
 

@@ -9,11 +9,16 @@ Run: ``python -m repro.experiments.fig2_latency``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments import paper
-from repro.experiments.reporting import Table, banner, compare_to_paper
+from repro.experiments.reporting import (
+    Table,
+    banner,
+    compare_to_paper,
+    driver_parser,
+    number,
+)
 from repro.transports import HadoopRpcTransport, LatencyBench, MpichTransport
 from repro.util.units import KiB, MiB, fmt_bytes, fmt_time
 
@@ -85,9 +90,11 @@ def format_report(result: Fig2Result) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=20110913)
+    parser = driver_parser(__doc__, seed=20110913)
+    parser.add_argument(
+        "--trials", type=number(int), default=100,
+        help="ping-pong trials per message size (default 100)",
+    )
     args = parser.parse_args(argv)
     print(format_report(run(trials=args.trials, seed=args.seed)))
     return 0

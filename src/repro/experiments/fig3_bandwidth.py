@@ -9,11 +9,10 @@ Run: ``python -m repro.experiments.fig3_bandwidth``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments import paper
-from repro.experiments.reporting import Table, banner, compare_to_paper
+from repro.experiments.reporting import Table, banner, compare_to_paper, driver_parser
 from repro.transports import (
     BandwidthBench,
     HadoopRpcTransport,
@@ -21,7 +20,7 @@ from repro.transports import (
     MpichTransport,
     NioSocketTransport,
 )
-from repro.util.units import MiB, fmt_bytes
+from repro.util.units import fmt_bytes
 
 
 @dataclass
@@ -105,10 +104,9 @@ def format_report(result: Fig3Result) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = driver_parser(__doc__, seed=20110913)
     parser.add_argument("--nio", action="store_true", help="add the Socket/NIO series")
     parser.add_argument("--no-jitter", action="store_true")
-    parser.add_argument("--seed", type=int, default=20110913)
     args = parser.parse_args(argv)
     print(
         format_report(

@@ -15,13 +15,12 @@ builder of the Hadoop/MPI-D pair; ``python -m repro trace fig6`` and
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from repro.experiments import paper
-from repro.experiments.reporting import Table, banner, compare_to_paper
+from repro.experiments.reporting import Table, banner, compare_to_paper, driver_parser
 from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE
 from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import MrMpiConfig
@@ -155,17 +154,7 @@ def write_traced_run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="run the paper's 1/10/100 GB points"
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        help="also run the smallest size observed; write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, full=False, trace_out=None).parse_args(argv)
     sizes = FULL_SIZES_GB if args.full else DEFAULT_SIZES_GB
     print(format_report(run(sizes_gb=sizes)))
     if args.trace_out is not None:

@@ -11,11 +11,10 @@ Run: ``python -m repro.experiments.gridmix``
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass, field
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop import HadoopConfig, JobSpec, run_hadoop_job
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.util.units import GiB
@@ -83,9 +82,7 @@ def format_report(result: GridmixResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=4)
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, gb=4).parse_args(argv)
     print(format_report(run(input_gb=args.gb)))
     return 0
 

@@ -19,10 +19,9 @@ Run: ``python -m repro.experiments.interconnect_whatif``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop.job import JAVASORT_PROFILE, JobSpec
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.simnet.cluster import ClusterSpec
@@ -108,9 +107,7 @@ def format_report(result: WhatIfResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=8)
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, gb=8).parse_args(argv)
     print(format_report(run(input_gb=args.gb)))
     return 0
 

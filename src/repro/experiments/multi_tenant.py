@@ -28,7 +28,6 @@ sweep, ``--trace-out`` and :func:`repro.experiments.capacity.produce_stores`.
 
 from __future__ import annotations
 
-import argparse
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,14 +39,23 @@ from repro.cluster import (
     SchedulerConfig,
     TenantSpec,
 )
-from repro.experiments.reporting import Table, banner, number_list
+from repro.cluster.scheduler import POLICIES
+from repro.experiments.reporting import (
+    Table,
+    banner,
+    driver_parser,
+    list_of,
+    number_list,
+    one_of,
+    positive_number,
+)
 from repro.hadoop.config import HadoopConfig
 from repro.obs import Attach, ObservedRun, write_observed_run
 from repro.simnet.faults import FaultPlan, NodeCrash, Straggler
 
 DEFAULT_SEEDS = (2011, 2012, 2013)
 DEFAULT_LOADS = (0.5, 1.0, 2.0)
-DEFAULT_POLICIES = ("fair", "capacity", "fifo")
+DEFAULT_POLICIES = POLICIES
 DEFAULT_HORIZON = 1800.0
 
 #: Base (load = 1.0) arrival rates, jobs per second per tenant.  Tuned so
@@ -365,12 +373,8 @@ def write_traced_run(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--seeds",
-        type=number_list(int, positive=False),
-        default=DEFAULT_SEEDS,
-        help="comma-separated arrival/placement seeds (default 2011,2012,2013)",
+    parser = driver_parser(
+        __doc__, seeds=DEFAULT_SEEDS, quick=False, out=None, trace_out=None
     )
     parser.add_argument(
         "--loads",
@@ -380,51 +384,27 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--policies",
-        type=str,
-        default=None,
+        type=list_of(one_of(POLICIES)),
+        default=DEFAULT_POLICIES,
         help="comma-separated scheduler policies (default fair,capacity,fifo)",
     )
     parser.add_argument(
-        "--horizon", type=float, default=DEFAULT_HORIZON,
+        "--horizon", type=positive_number, default=DEFAULT_HORIZON,
         help="arrival horizon, simulated seconds",
     )
     parser.add_argument(
         "--no-chaos", action="store_true",
         help="skip the fault-plan overlay cells",
     )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="one seed, loads 1x/2x, fair only, short horizon (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write multi_tenant.csv / multi_tenant.json here",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also record one observed 2x-overload chaos run; "
-        "write Perfetto JSON here",
-    )
     args = parser.parse_args(argv)
-    seeds, loads = args.seeds, args.loads
-    policies = (
-        tuple(t.strip() for t in args.policies.split(",") if t.strip())
-        if args.policies
-        else DEFAULT_POLICIES
-    )
+    seeds, loads, policies = args.seeds, args.loads, args.policies
     horizon = args.horizon
-    chaos = (False,) if args.no_chaos else (False, True)
     if args.quick:
-        seeds = seeds[:1]
-        loads = (1.0, 2.0)
-        policies = ("fair",)
+        seeds, loads, policies = seeds[:1], (1.0, 2.0), ("fair",)
         horizon = min(horizon, 600.0)
-        chaos = (False, True) if not args.no_chaos else (False,)
     result = run(
         loads=loads, policies=policies, seeds=seeds, horizon=horizon,
-        chaos=chaos,
+        chaos=(False,) if args.no_chaos else (False, True),
     )
     print(format_report(result))
     if args.out is not None:

@@ -22,14 +22,13 @@ Run: ``python -m repro.experiments.network_faults [--gb N]
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.experiments.reporting import Table, banner, number_list, positive_number
+from repro.experiments.reporting import Table, banner, driver_parser, number_list
 from repro.hadoop import (
     JAVASORT_PROFILE,
     JobFailedError,
@@ -315,30 +314,14 @@ def format_report(result: NetworkFaultsResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--gb", type=positive_number, default=1.0, help="sort input size"
-    )
-    parser.add_argument(
-        "--seeds",
-        type=number_list(int, positive=False),
-        default=DEFAULT_SEEDS,
-        help="comma-separated fault seeds (default 2011,2012)",
-    )
-    parser.add_argument(
-        "--rates",
-        type=number_list(),
-        default=None,
-        help="comma-separated flow-kill rates per link-hour",
+    parser = driver_parser(
+        __doc__, gb=1.0, seeds=DEFAULT_SEEDS, rates=None, full=False
     )
     parser.add_argument(
         "--partitions",
         type=number_list(),
         default=DEFAULT_PARTITIONS,
         help="comma-separated partition durations (seconds)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="wider rate sweep (slower)"
     )
     args = parser.parse_args(argv)
     rates = args.rates or (FULL_RATES if args.full else DEFAULT_RATES)

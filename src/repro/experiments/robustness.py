@@ -11,12 +11,11 @@ Run: ``python -m repro.experiments.robustness``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.experiments.reporting import Table, banner, number_list
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobSpec, WORDCOUNT_PROFILE, run_hadoop_job
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.util.units import GiB
@@ -78,15 +77,7 @@ def format_report(result: RobustnessResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=2)
-    parser.add_argument(
-        "--seeds",
-        type=number_list(int, positive=False),
-        default=DEFAULT_SEEDS,
-        help="comma-separated placement seeds (default 1,2,3,4,5)",
-    )
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, gb=2, seeds=DEFAULT_SEEDS).parse_args(argv)
     print(format_report(run(seeds=args.seeds, input_gb=args.gb)))
     return 0
 

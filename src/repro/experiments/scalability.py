@@ -12,10 +12,9 @@ Run: ``python -m repro.experiments.scalability``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE, run_hadoop_job
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.simnet.cluster import ClusterSpec
@@ -88,9 +87,7 @@ def format_report(result: ScalabilityResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=20)
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, gb=20).parse_args(argv)
     print(format_report(run(input_gb=args.gb)))
     return 0
 

@@ -12,13 +12,12 @@ Run: ``python -m repro.experiments.skew``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core import HashPartitioner
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobSpec, run_hadoop_job
 from repro.mrmpi import MrMpiConfig, run_mpid_job
 from repro.util.serde import serialized_size
@@ -112,9 +111,7 @@ def format_report(result: SkewResult) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=4)
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, gb=4).parse_args(argv)
     print(format_report(run(input_gb=args.gb)))
     return 0
 

@@ -19,14 +19,13 @@ one builder of all three scenarios, shared by the sweep and
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.reporting import Table, banner, number_list
+from repro.experiments.reporting import Table, banner, driver_parser, positive_number
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec
 from repro.hadoop.simulation import HadoopSimulation
 from repro.obs import Attach, ObservedRun, write_observed_run
@@ -239,38 +238,31 @@ def format_report(result: StragglerResult) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=4)
-    parser.add_argument("--slowdown", type=float, default=6.0)
-    parser.add_argument(
-        "--seeds",
-        type=number_list(int, positive=False),
-        default=DEFAULT_SEEDS,
-        help="comma-separated placement seeds (default 2011,2012,2013)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write stragglers.csv / stragglers.json here",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run one observed 1 GB speculative run; "
-        "write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    seeds = args.seeds
-    results = sweep(input_gb=args.gb, slowdown=args.slowdown, seeds=seeds)
-    print(format_report(results[seeds[0]]))
+def format_sweep(results: dict[int, StragglerResult]) -> str:
+    """The first seed's report, plus the recovered range across seeds."""
+    seeds = list(results)
+    text = format_report(results[seeds[0]])
     if len(seeds) > 1:
         recs = [results[s].recovered for s in seeds]
-        print(
-            f"\nacross seeds {','.join(map(str, seeds))}: speculation "
+        text += (
+            f"\n\nacross seeds {','.join(map(str, seeds))}: speculation "
             f"recovered {min(recs) * 100:.0f}%–{max(recs) * 100:.0f}% "
             f"of the lost time"
         )
+    return text
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = driver_parser(
+        __doc__, gb=4, seeds=DEFAULT_SEEDS, out=None, trace_out=None
+    )
+    parser.add_argument(
+        "--slowdown", type=positive_number, default=6.0,
+        help="the slow node's disk slowdown factor (default 6)",
+    )
+    args = parser.parse_args(argv)
+    results = sweep(input_gb=args.gb, slowdown=args.slowdown, seeds=args.seeds)
+    print(format_sweep(results))
     if args.out is not None:
         for path in export(results, args.out):
             print(f"wrote {path}")

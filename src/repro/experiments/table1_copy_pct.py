@@ -11,11 +11,10 @@ Run: ``python -m repro.experiments.table1_copy_pct [--full]``
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments import paper
-from repro.experiments.reporting import Table, banner
+from repro.experiments.reporting import Table, banner, driver_parser
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobSpec, run_hadoop_job
 from repro.util.units import GiB
 
@@ -99,11 +98,7 @@ def format_report(result: Table1Result) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="run the paper's 1-150 GB grid"
-    )
-    args = parser.parse_args(argv)
+    args = driver_parser(__doc__, full=False).parse_args(argv)
     sizes = FULL_SIZES_GB if args.full else DEFAULT_SIZES_GB
     print(format_report(run(sizes_gb=sizes)))
     return 0

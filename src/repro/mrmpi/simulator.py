@@ -432,22 +432,21 @@ class MrMpiSimulation:
             for rnode in reducer_nodes
         ]
         wc_cache: dict[float, tuple[int, float, float]] = {}
-        # Horizon batching (tracing off): the spill chain's pure CPU
-        # delays — realign, compress, the first reducer's injection
-        # cost — collapse into one pooled tick at the accumulated
-        # absolute instant.  The accumulation performs
-        # the same float additions in the same order the chained
-        # timeouts would (((t + realign) + compress) + send_cpu), so
-        # every send starts at the bit-identical time.  Span boundaries
-        # pin the unfused chain when tracing is on.
-        fused = not obs.enabled
-        # Deeper fusion — CPU slot held via try_acquire with an
-        # autonomous release tick — is only valid when nothing can
-        # interrupt the mapper mid-chain: an interrupted scalar mapper
-        # releases its core at the interrupt instant, the release tick
-        # at the phase boundary.  Fault-free runs cannot be interrupted.
+        # Horizon batching: with tracing off and nothing able to
+        # interrupt the mapper, the whole spill chain — map CPU, realign,
+        # compress, the first reducer's injection cost — collapses into
+        # one tick at the accumulated absolute instant, with the CPU
+        # slot held via try_acquire and freed by an autonomous release
+        # tick.  The accumulation performs the same float additions in
+        # the same order the chained timeouts would
+        # (((t + realign) + compress) + send_cpu), so every send starts
+        # at the bit-identical time.  Span boundaries pin the chained
+        # path when tracing is on; faults pin it too, because an
+        # interrupted mapper releases its core at the interrupt instant,
+        # not at the phase boundary.  A full CPU pool also takes the
+        # chained path (queued acquire).
         fused_cpu = (
-            fused
+            not obs.enabled
             and self.injector is None
             and not self.net_faults
             and self.storage is None
@@ -531,12 +530,7 @@ class MrMpiSimulation:
             else:
                 core = cpus.acquire()
                 try:
-                    if not (fused and core.triggered):
-                        # An uncontended slot grants synchronously;
-                        # skipping the yield saves the resume (the
-                        # pre-scheduled grant event still pops harmlessly
-                        # with no callbacks).
-                        yield core
+                    yield core
                     yield sim.timeout(cpu)
                 finally:
                     cpus.cancel(core)
@@ -550,19 +544,11 @@ class MrMpiSimulation:
                 realign_sid = (
                     tr.begin("mpid.map", "realign", parent=sid) if traced else 0
                 )
-                if fused:
-                    # Defer the realign/compress sleep into the first
-                    # send's injection sleep (one tick, not 2-3 timeouts).
-                    pending = sim.now + out * cfg.realign_cpu_per_byte
-                    if cfg.compress:
-                        pending = pending + out * cfg.compress_cpu_per_byte
-                        out *= cfg.compression_ratio
-                else:
-                    pending = None
-                    yield sim.timeout(out * cfg.realign_cpu_per_byte)
-                    if cfg.compress:
-                        yield sim.timeout(out * cfg.compress_cpu_per_byte)
-                        out *= cfg.compression_ratio
+                pending = None
+                yield sim.timeout(out * cfg.realign_cpu_per_byte)
+                if cfg.compress:
+                    yield sim.timeout(out * cfg.compress_cpu_per_byte)
+                    out *= cfg.compression_ratio
                 if traced:
                     tr.end(realign_sid)
             if traced:

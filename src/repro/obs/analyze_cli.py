@@ -34,6 +34,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.experiments.reporting import number, number_list
 from repro.obs.analysis import analyze_dag, dags_from_trace, format_analysis
 from repro.util.units import parse_size
 
@@ -92,13 +93,13 @@ def main(argv: list[str] | None = None) -> int:
         help="Perfetto trace_event JSON or streamed .jsonl trace store",
     )
     parser.add_argument(
-        "--top", type=int, default=10, help="bottleneck spans to list"
+        "--top", type=number(int), default=10, help="bottleneck spans to list"
     )
     parser.add_argument(
         "--pcts",
-        type=str,
+        type=number_list(below=100.0),
         default="10,25,50",
-        help="what-if virtual speedups, percent (default 10,25,50)",
+        help="what-if virtual speedups, percent below 100 (default 10,25,50)",
     )
     parser.add_argument(
         "--json", type=Path, default=None, help="also write the full report as JSON"
@@ -116,9 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--validate-pct",
-        type=float,
+        type=number(below=1.0),
         default=0.25,
-        help="virtual speedup to validate (default 0.25)",
+        help="virtual speedup to validate, a fraction below 1 (default 0.25)",
     )
     parser.add_argument(
         "--tenants",
@@ -154,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {args.json}")
         return 0
 
-    pcts = tuple(float(tok) / 100.0 for tok in args.pcts.split(",") if tok.strip())
+    pcts = tuple(pct / 100.0 for pct in args.pcts)
     try:
         if is_store:
             from repro.obs.analysis import TraceDAG

@@ -30,7 +30,7 @@ import json
 from pathlib import Path
 
 from repro.experiments import fault_tolerance, fig1_shuffle, fig6_wordcount
-from repro.experiments.reporting import positive_number
+from repro.experiments.reporting import add_shared_flags, number
 from repro.obs.gantt import ascii_gantt
 from repro.obs.observed import ObservedRun, write_observed_run
 from repro.util.units import parse_size
@@ -64,18 +64,6 @@ def run_experiment(experiment: str, nbytes: int, seed: int,
     return BUILDERS[experiment](nbytes, seed, rate_per_hour, attach)
 
 
-def size_arg(text: str) -> str:
-    """argparse ``type=`` for ``--size``: checks for a positive size like
-    ``256MB`` and keeps the text, which the manifest records as given."""
-    try:
-        nbytes = parse_size(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if nbytes <= 0:
-        raise argparse.ArgumentTypeError(f"size must be positive: {text!r}")
-    return text
-
-
 def _write_metrics(path: Path, observers) -> None:
     """Metrics dump: ``.json`` gets the full registry, else CSV rows."""
     if path.suffix == ".json":
@@ -103,17 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro trace", description=__doc__
     )
     parser.add_argument("experiment", choices=list(BUILDERS))
-    parser.add_argument(
-        "--size", type=size_arg, default="1GB", help="input size (e.g. 256MB, 1GB)"
-    )
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--rate", type=positive_number, default=40.0,
-        help="fault: crashes per node-hour",
-    )
-    parser.add_argument(
-        "--trace-out", type=Path, default=Path("trace.json"),
-        help="Perfetto trace_event JSON output path",
+    add_shared_flags(
+        parser, size="1GB", seed=2011, rate=40.0, trace_out=Path("trace.json")
     )
     parser.add_argument(
         "--metrics-out", type=Path, default=None,
@@ -137,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         "--gantt", action="store_true", help="print an ASCII Gantt timeline"
     )
     parser.add_argument(
-        "--gantt-limit", type=int, default=None, metavar="N",
+        "--gantt-limit", type=number(int), default=None, metavar="N",
         help="cap the Gantt at N tracks (adds a '… N more tracks' footer)",
     )
     args = parser.parse_args(argv)

@@ -27,8 +27,8 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.experiments.reporting import positive_number
-from repro.obs.cli import BUILDERS, run_experiment, size_arg
+from repro.experiments.reporting import add_shared_flags, number
+from repro.obs.cli import BUILDERS, run_experiment
 from repro.util.units import parse_size
 
 
@@ -53,17 +53,9 @@ def main(argv: list[str] | None = None) -> int:
         "store_dir", nargs="?", type=Path, default=None,
         help="fleet: directory of .jsonl trace stores",
     )
+    add_shared_flags(parser, size="1GB", seed=2011, rate=40.0)
     parser.add_argument(
-        "--size", type=size_arg, default="1GB",
-        help="experiment targets: input size (e.g. 256MB, 1GB)",
-    )
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--rate", type=positive_number, default=40.0,
-        help="fault target: crashes per node-hour",
-    )
-    parser.add_argument(
-        "--buckets", type=int, default=120,
+        "--buckets", type=number(int), default=120,
         help="playback frames to fold the run into (default 120)",
     )
     parser.add_argument(

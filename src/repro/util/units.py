@@ -51,25 +51,25 @@ def parse_size(text: str | int | float) -> int:
     """Parse a human-readable size like ``"64MB"`` or ``"1.5 GiB"`` to bytes.
 
     Integers and floats pass through (rounded to int).  Raises
-    :class:`ValueError` for unknown suffixes or negative sizes.
+    :class:`ValueError` for unknown suffixes and for negative, NaN or
+    infinite sizes (``"1e400GB"`` included).
     """
     if isinstance(text, (int, float)):
-        if text < 0:
-            raise ValueError(f"size may not be negative: {text!r}")
-        return int(text)
-    s = text.strip().lower().replace(" ", "")
-    idx = len(s)
-    while idx > 0 and not s[idx - 1].isdigit():
-        idx -= 1
-    num, suffix = s[:idx], s[idx:]
-    if not num:
-        raise ValueError(f"no numeric part in size {text!r}")
-    mult = _SIZE_SUFFIXES.get(suffix, None) if suffix else 1
-    if mult is None:
-        raise ValueError(f"unknown size suffix {suffix!r} in {text!r}")
-    value = float(num) * mult
-    if value < 0:
-        raise ValueError(f"size may not be negative: {text!r}")
+        value = text
+    else:
+        s = text.strip().lower().replace(" ", "")
+        idx = len(s)
+        while idx > 0 and not s[idx - 1].isdigit():
+            idx -= 1
+        num, suffix = s[:idx], s[idx:]
+        if not num:
+            raise ValueError(f"no numeric part in size {text!r}")
+        mult = _SIZE_SUFFIXES.get(suffix, None) if suffix else 1
+        if mult is None:
+            raise ValueError(f"unknown size suffix {suffix!r} in {text!r}")
+        value = float(num) * mult
+    if not 0 <= value < float("inf"):
+        raise ValueError(f"size must be finite and non-negative: {text!r}")
     return int(value)
 
 

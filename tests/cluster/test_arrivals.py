@@ -1,8 +1,10 @@
 """Arrival-stream determinism and shape tests."""
 
+import math
+
 import pytest
 
-from repro.cluster import TenantSpec, build_arrivals, tenant_arrivals
+from repro.cluster import MultiTenantEngine, TenantSpec, build_arrivals, tenant_arrivals
 from repro.cluster.arrivals import merge_streams, offered_load_summary
 from repro.util.units import MiB
 
@@ -122,6 +124,17 @@ class TestValidation:
     def test_bad_runtime(self):
         with pytest.raises(ValueError, match="runtime"):
             spec(runtime="spark")
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_horizon_rejected_at_construction(self, horizon):
+        # NaN used to yield zero arrivals (a silent 0-job run) and inf an
+        # arrival loop that never ends.  The engine check comes first,
+        # and build_arrivals gets no tenants, so code without the checks
+        # fails here instead of hanging.
+        with pytest.raises(ValueError, match="horizon"):
+            MultiTenantEngine([spec()], horizon=horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            build_arrivals([], seed=7, horizon=horizon)
 
     def test_duplicate_tenants(self):
         with pytest.raises(ValueError, match="duplicate"):

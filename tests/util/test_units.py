@@ -60,6 +60,11 @@ class TestParseSize:
         with pytest.raises(ValueError, match="negative"):
             parse_size(-1)
 
+    @pytest.mark.parametrize("value", ["1e400GB", float("inf"), float("nan")])
+    def test_non_finite(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            parse_size(value)
+
 
 class TestFormatting:
     def test_fmt_bytes_units(self):
