@@ -24,7 +24,6 @@ CI fleet-smoke job byte-diffs across same-seed double runs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -40,6 +39,7 @@ from repro.experiments.reporting import (
     driver_parser,
     number_list,
     positive_number,
+    write_json,
 )
 from repro.hadoop import WORDCOUNT_PROFILE, HadoopConfig, JobSpec
 from repro.obs.tenant_analysis import (
@@ -380,9 +380,7 @@ def export(report: dict, out_dir: Path) -> Path:
     """Write capacity.json into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "capacity.json"
-    with path.open("w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
     return path
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from functools import lru_cache
 from pathlib import Path
@@ -26,16 +25,9 @@ from repro.experiments import critical_path as critical_path_exp
 from repro.experiments import durability, fault_tolerance, fig1_shuffle
 from repro.experiments import fig2_latency, fig3_bandwidth, fig6_wordcount
 from repro.experiments import multi_tenant, network_faults, table1_copy_pct
-from repro.experiments.reporting import driver_parser
+from repro.experiments.reporting import driver_parser, write_csv, write_json
 from repro.obs.analysis import STAGES
 from repro.util.units import GiB
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 @lru_cache(maxsize=1)
@@ -475,17 +467,6 @@ def critical_path_json(result=None) -> dict:
     }
 
 
-def obs_metrics_csv(observer) -> tuple[list[str], list[list]]:
-    """One row per metric of a live :class:`~repro.obs.Observer`."""
-    header, rows = observer.metrics.rows()
-    return list(header), [list(row) for row in rows]
-
-
-def obs_metrics_json(observer) -> dict:
-    """Full metric dump (counters, gauges, histogram aggregates)."""
-    return observer.metrics.to_dict()
-
-
 EXPORTS = {
     "fig1_shuffle.csv": fig1_csv,
     "fig2_latency.csv": fig2_csv,
@@ -523,15 +504,13 @@ def export_all(out_dir: Path, only: Optional[set] = None) -> list[Path]:
             continue
         header, rows = maker()
         path = out_dir / filename
-        _write_csv(path, header, rows)
+        write_csv(path, header, rows)
         written.append(path)
     for filename, maker in JSON_EXPORTS.items():
         if only is not None and filename not in only:
             continue
         path = out_dir / filename
-        with path.open("w") as fh:
-            json.dump(maker(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, maker())
         written.append(path)
     return written
 

@@ -28,7 +28,6 @@ sweep, ``--trace-out`` and :func:`repro.experiments.capacity.produce_stores`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -48,6 +47,8 @@ from repro.experiments.reporting import (
     number_list,
     one_of,
     positive_number,
+    write_csv,
+    write_json,
 )
 from repro.hadoop.config import HadoopConfig
 from repro.obs import Attach, ObservedRun, write_observed_run
@@ -331,19 +332,11 @@ def format_report(result: MultiTenantResult) -> str:
 
 def export(result: MultiTenantResult, out_dir: Path) -> list[Path]:
     """Write the CSV + JSON artifacts into ``out_dir``."""
-    import csv
-
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "multi_tenant.csv"
-    header, rows = to_rows(result)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(csv_path, *to_rows(result))
     json_path = out_dir / "multi_tenant.json"
-    with json_path.open("w") as fh:
-        json.dump(to_json(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, to_json(result))
     return [csv_path, json_path]
 
 

@@ -2,15 +2,19 @@
 
 Nothing fancy: the experiments print the same rows/series the paper
 reports, plus a paper-vs-measured comparison block, as plain text that
-reads well in a terminal and pastes well into EXPERIMENTS.md.
+reads well in a terminal and pastes well into EXPERIMENTS.md.  The
+module also holds the CSV/JSON artifact writers and the shared,
+validating command-line flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.util.units import fmt_bytes, fmt_time, parse_size
 
@@ -96,6 +100,27 @@ def banner(title: str) -> str:
     return f"{bar}\n{title}\n{bar}"
 
 
+# -- artifacts ---------------------------------------------------------------
+#
+# The drivers' result exports, ``repro analyze --json`` and ``repro trace
+# --metrics-out`` all write through these two, so the format is set once.
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: the header row, then ``rows``."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path: Path, doc: Any) -> None:
+    """Write one JSON artifact: ``indent=2``, sorted keys, trailing newline."""
+    with path.open("w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # -- command-line flags ------------------------------------------------------
 #
 # Every numeric flag is parsed by a validating ``type=``: NaN, ±inf, a
@@ -139,13 +164,19 @@ positive_number = number()
 def list_of(parse_one: Callable[[str], Any]) -> Callable[[str], tuple]:
     """An argparse ``type=`` for a comma-separated list such as
     ``--rates 20,40``: each token goes through ``parse_one``; empty
-    tokens are skipped, and an empty list is an error."""
+    tokens are skipped, and an empty list or a repeated value is an
+    error (a repeated seed or rate would be run twice and reported as
+    if it were a second sample)."""
 
     def parse(text: str) -> tuple:
         tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
         if not tokens:
             raise argparse.ArgumentTypeError("empty list")
-        return tuple(parse_one(tok) for tok in tokens)
+        values = tuple(parse_one(tok) for tok in tokens)
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(f"duplicate {tokens[i]}")
+        return values
 
     return parse
 

@@ -19,13 +19,18 @@ one builder of all three scenarios, shared by the sweep and
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.experiments.reporting import Table, banner, driver_parser, positive_number
+from repro.experiments.reporting import (
+    Table,
+    banner,
+    driver_parser,
+    positive_number,
+    write_csv,
+    write_json,
+)
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec
 from repro.hadoop.simulation import HadoopSimulation
 from repro.obs import Attach, ObservedRun, write_observed_run
@@ -172,15 +177,9 @@ def export(results: dict[int, StragglerResult], out_dir: Path) -> list[Path]:
     """Write stragglers.csv / stragglers.json into ``out_dir``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "stragglers.csv"
-    header, rows = to_rows(results)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(csv_path, *to_rows(results))
     json_path = out_dir / "stragglers.json"
-    with json_path.open("w") as fh:
-        json.dump(to_json(results), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, to_json(results))
     return [csv_path, json_path]
 
 

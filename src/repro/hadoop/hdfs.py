@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import numpy as np
-
 from repro.util.rng import make_rng
 
 

@@ -13,7 +13,7 @@ a map finishing and its output being fetchable knowledge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.hadoop.config import HadoopConfig

@@ -367,14 +367,10 @@ class MrMpiSimulation:
 
     # -- processes -----------------------------------------------------------------
     def _mapper_proc(self, rank: int, node_id: int, split_bytes: float):
-        sim = self.sim
-        cfg = self.config
-        profile = self.spec.profile
         node = self.cluster.node(node_id)
         m = MapperMetrics(rank=rank, node=node_id, input_bytes=split_bytes)
         self.metrics.mappers.append(m)
-        tr = sim.obs.tracer
-        sid = 0
+        tr = self.sim.obs.tracer
         try:
             yield from self._mapper_body(rank, node_id, split_bytes, node, m)
         except Interrupt:

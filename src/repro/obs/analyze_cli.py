@@ -34,7 +34,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.experiments.reporting import number, number_list
+from repro.experiments.reporting import number, number_list, write_json
 from repro.obs.analysis import analyze_dag, dags_from_trace, format_analysis
 from repro.util.units import parse_size
 
@@ -149,9 +149,7 @@ def main(argv: list[str] | None = None) -> int:
         report = analyze_tenants(tracer)
         print(format_tenant_analysis(report))
         if args.json is not None:
-            with args.json.open("w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_json(args.json, report)
             print(f"wrote {args.json}")
         return 0
 
@@ -186,9 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         print()
 
     if args.json is not None:
-        with args.json.open("w") as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.json, reports)
         print(f"wrote {args.json}")
 
     if args.validate:

@@ -26,11 +26,10 @@ driver's sweep and ``--trace-out`` run:
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 
 from repro.experiments import fault_tolerance, fig1_shuffle, fig6_wordcount
-from repro.experiments.reporting import add_shared_flags, number
+from repro.experiments.reporting import add_shared_flags, number, write_csv, write_json
 from repro.obs.gantt import ascii_gantt
 from repro.obs.observed import ObservedRun, write_observed_run
 from repro.util.units import parse_size
@@ -67,23 +66,13 @@ def run_experiment(experiment: str, nbytes: int, seed: int,
 def _write_metrics(path: Path, observers) -> None:
     """Metrics dump: ``.json`` gets the full registry, else CSV rows."""
     if path.suffix == ".json":
-        payload = {name: obs.metrics.to_dict() for name, obs in observers}
-        with path.open("w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {name: obs.metrics.to_dict() for name, obs in observers})
         return
-    import csv
-
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header_written = False
-        for name, obs in observers:
-            header, rows = obs.metrics.rows()
-            if not header_written:
-                writer.writerow(["system", *header])
-                header_written = True
-            for row in rows:
-                writer.writerow([name, *row])
+    header, rows = (), []
+    for name, obs in observers:
+        header, obs_rows = obs.metrics.rows()
+        rows.extend([name, *row] for row in obs_rows)
+    write_csv(path, ["system", *header], rows)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -45,7 +45,6 @@ CI determinism job diffs exactly that).
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 

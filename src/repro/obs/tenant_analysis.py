@@ -29,7 +29,7 @@ turned) lives in :mod:`repro.experiments.capacity`, mirroring how
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.obs.analysis import TraceDAG, critical_path

@@ -13,16 +13,15 @@ from many mappers saturate node downlinks.
 Latency is charged once per flow (propagation + protocol setup, supplied
 by the caller) before the bytes begin to flow.
 
-One incremental solver produces the allocation.  It tracks *dirty*
-links, re-solves only the connected component of flows reachable from
-a change, short-circuits the single-bottleneck star case, and batches
-equal-cap freezes.  Progressive filling decomposes over connected
-components (freezing a flow only alters residuals on its own path), so
-it reproduces a full from-scratch progressive-filling pass over every
-link **bit-for-bit**.  That from-scratch solver is a test-only oracle
-(``ReferenceSolverNetwork`` in ``tests/simnet/reference_engine.py``);
-the property/differential tests in
-``tests/simnet/test_maxmin_differential.py`` and the golden-export
+One solver produces the allocation.  Joins, leaves, kills and capacity
+changes mark their links *dirty*; the next solve re-runs progressive
+filling over every active flow (on the star, all-to-all shuffle traffic
+makes the whole active set one sharing component anyway), and a solve
+with no dirty link is skipped.  The solve reproduces a from-scratch
+progressive-filling pass **bit-for-bit**.  That from-scratch solver is
+a test-only oracle (``ReferenceSolverNetwork`` in
+``tests/simnet/reference_engine.py``); the property/differential tests
+in ``tests/simnet/test_maxmin_differential.py`` and the golden-export
 tests in ``tests/experiments/test_golden_fastpath.py`` pin the two to
 identical shares.
 
@@ -207,7 +206,7 @@ class Network:
         self.flows_cancelled = 0
         self.first_flow_failure_at: Optional[float] = None
         #: Links whose flow set or capacity changed since the last solve;
-        #: the incremental solver only revisits their connected component.
+        #: the solver re-solves only when this is non-empty.
         self._dirty: set[Link] = set()
         #: The currently pending completion timer; superseded timers are
         #: tombstoned so the kernel skips their dispatch entirely.
@@ -654,16 +653,13 @@ class Network:
         self._reallocate()
 
     def _sync_rates(self) -> None:
-        """Mirror solver-assigned rates into the dense slots.  One batch
-        write: flows outside the solved component kept their old rate,
-        so rewriting every active slot from the authoritative
-        ``flow.rate`` attributes is always correct.
-        """
+        """Mirror solver-assigned rates into the dense slots in one batch
+        write from the authoritative ``flow.rate`` attributes."""
         self._rate = [f.rate for f in self._slot_flows]
 
     def _settle_component(self, flows: Iterable[Flow]) -> None:
         """Settle every link the solver is about to re-rate.  Must run
-        before the solver zeroes any component flow's rate — the byte
+        before the solver zeroes any flow's rate — the byte
         integral needs the rates still in force."""
         now = self.sim.now
         for f in flows:
@@ -683,56 +679,20 @@ class Network:
                 link._settle(now)
 
     def _maxmin_rates(self) -> None:
-        """Incremental max-min: re-solve only the dirty connected component.
+        """Re-solve every active flow if any link is dirty.
 
-        Progressive filling decomposes over connected components of the
-        flow/link sharing graph — freezing a flow only changes residuals
-        on its own path, so a component's final shares are a pure
-        function of its own links, flows and caps.  A join/leave/kill
-        therefore invalidates exactly the component(s) reachable from
-        the touched links; everything else keeps its converged rate.
+        On the modeled star an all-to-all shuffle joins every active
+        flow into one sharing component, so the whole active set is the
+        unit of work: it is exactly what the reference solver solves.
+        With no dirty link the standing rates are still current and the
+        call only counts a skip.
         """
         dirty = self._dirty
         if not dirty:
             self.rate_skips += 1
             return
-        # Small populations (the paper's 8-node cluster tops out around
-        # 40 concurrent flows): finding the dirty component costs more
-        # than re-solving everything with the fast kernel, and solving
-        # the full flow set IS the reference semantics — trivially exact.
-        if len(self._flows) <= 48:
-            dirty.clear()
-            self.rate_recomputes += 1
-            self.rate_recompute_flows += len(self._flows)
-            obs = self.sim.obs
-            if obs.enabled:
-                obs.metrics.counter("net.rate_recomputes").add()
-                obs.metrics.counter("net.rate_recompute_flows").add(len(self._flows))
-            self._settle_component(self._flows)
-            self._solve_component(self._flows)
-            self._sync_rates()
-            return
-        # Closure: every flow sharing a link (transitively) with a dirty
-        # link.  A dirty link with no flows contributes nothing — its old
-        # flows' components are reachable through the links they still use.
-        stack = [link for link in dirty if link._flows]
         dirty.clear()
-        flows: set[Flow] = set()
-        seen: set[Link] = set(stack)
-        add_flow = flows.add
-        add_seen = seen.add
-        push = stack.append
-        while stack:
-            link = stack.pop()
-            for f in link._flows:
-                if f not in flows:
-                    add_flow(f)
-                    for other in f.path:
-                        if other not in seen:
-                            add_seen(other)
-                            push(other)
-        if not flows:
-            return
+        flows = self._flows
         self.rate_recomputes += 1
         self.rate_recompute_flows += len(flows)
         obs = self.sim.obs
@@ -744,107 +704,42 @@ class Network:
         self._sync_rates()
 
     def _solve_component(self, flows: set[Flow]) -> None:
-        """Progressive filling restricted to one closed component.
+        """Progressive filling over ``flows`` (every active flow).
 
-        Bit-for-bit equal to a from-scratch progressive-filling pass
-        over the same flows (the test oracle's reference solver):
-        identical divisions, subtraction order and epsilon-tie
-        resolution — only the bookkeeping is cheaper.  The measured shape
-        of Figure-6 components (a few flows over 2–8 links, ~96 % of them
-        with no rate caps at all) drives the structure: the uncapped case
-        skips the cap machinery entirely, links are sorted once per solve
-        instead of once per round, and per-link unfrozen counts are
-        maintained instead of recounted.  The residual clamp uses a
-        conditional instead of ``max(0.0, r)`` — identical for every
-        float including ``-0.0`` (``max`` returns its first argument on
-        ties), but without a builtin call in the innermost loop.
+        Bit-for-bit equal to the test oracle's reference solver:
+        identical divisions, subtraction order, epsilon-tie resolution
+        and cap order.  Only the bookkeeping is cheaper.  Links are
+        sorted once per solve instead of once per round, and per-link
+        unfrozen counts are maintained instead of recounted.  A cursor
+        over the capped flows, sorted by ``(rate_cap, seq)``, stands in
+        for the reference's min-cap scan.  The residual clamp uses a
+        conditional instead of ``max(0.0, r)``: identical for every float
+        including ``-0.0`` (``max`` returns its first argument on ties),
+        but without a builtin call in the innermost loop.
         """
         eps = self._EPS
-        inf = float("inf")
         residual: dict[Link, float] = {}
-        capped_flows: list[Flow] = []
+        capped: list[Flow] = []
         for flow in flows:
             flow.rate = 0.0
-            if flow.rate_cap != inf:
-                capped_flows.append(flow)
+            if flow.rate_cap != _INF:
+                capped.append(flow)
             for link in flow.path:
                 if link not in residual:
                     residual[link] = link.capacity
-
-        if not capped_flows:
-            n_flows = len(flows)
-            # Single-bottleneck short-circuit (the GigE star's all-to-one
-            # case): one link, no caps — everyone gets the same division
-            # the reference's sole iteration would compute.
-            if len(residual) == 1:
-                share = next(iter(residual.values())) / n_flows
-                for f in flows:
-                    f.rate = share
-                return
-            # Uniform short-circuit: every link carries every flow (one
-            # mapper bursting to a set of peers).  The reference's first
-            # round then freezes the whole component at the bottleneck
-            # share — compute exactly that scan, skip the bookkeeping.
-            if all(len(link._flows) == n_flows for link in residual):
-                best_share = inf
-                for link in sorted(residual, key=_LINK_NAME):
-                    share = residual[link] / n_flows
-                    if share < best_share - eps:
-                        best_share = share
-                for f in flows:
-                    f.rate = best_share
-                return
-            # Closure property: every flow of every component link is in
-            # ``flows``, so unfrozen counts start at len(link._flows).
-            link_order = sorted(residual, key=_LINK_NAME)
-            counts = {link: len(link._flows) for link in link_order}
-            unfrozen: set[Flow] = set(flows)
-            while unfrozen:
-                best_link: Optional[Link] = None
-                best_share = inf
-                for link in link_order:
-                    n = counts[link]
-                    if n:
-                        share = residual[link] / n
-                        if share < best_share - eps:
-                            best_share = share
-                            best_link = link
-                if best_link is None:
-                    # Mirrors the reference fallback for unconstrained flows.
-                    for flow in unfrozen:
-                        flow.rate = min(flow.rate_cap, 1e18)
-                    break
-                if counts[best_link] == len(unfrozen):
-                    # Final round: every remaining flow is on the
-                    # bottleneck, so all freeze at this share and the
-                    # residual/count updates would never be read again.
-                    for flow in unfrozen:
-                        flow.rate = best_share
-                    return
-                # Direct iteration over the same set object the reference
-                # builds its ``froze`` list from: same element order, and
-                # discarding a flow never changes another's membership test.
-                for flow in best_link._flows:
-                    if flow in unfrozen:
-                        flow.rate = best_share
-                        unfrozen.discard(flow)
-                        for link in flow.path:
-                            r = residual[link] - best_share
-                            residual[link] = r if r > 0.0 else 0.0
-                            counts[link] -= 1
-            return
-
         link_order = sorted(residual, key=_LINK_NAME)
+        # Every flow on a link is active, so unfrozen counts start at
+        # len(link._flows).
         counts = {link: len(link._flows) for link in link_order}
         # Only capped flows can win the reference's min-cap scan; once the
         # cursor exhausts them the remaining caps are all infinite.
-        cap_order = sorted(capped_flows, key=_CAP_SEQ)
+        cap_order = sorted(capped, key=_CAP_SEQ)
         cap_i = 0
         n_caps = len(cap_order)
         unfrozen = set(flows)
         while unfrozen:
-            best_link = None
-            best_share = inf
+            best_link: Optional[Link] = None
+            best_share = _INF
             for link in link_order:
                 n = counts[link]
                 if n:
@@ -855,31 +750,17 @@ class Network:
             while cap_i < n_caps and cap_order[cap_i] not in unfrozen:
                 cap_i += 1
             if cap_i < n_caps and cap_order[cap_i].rate_cap < best_share:
-                # Freeze the tightest-capped flow, exactly as the
-                # reference would.  Freezing at a rate below every
-                # remaining share can only *raise* shares, so while the
-                # next cap stays below a safety margin under the share
-                # we just scanned, the reference's rescan is provably
-                # redundant — batch those freezes without it.  ``guard``
-                # retreats 2·eps per freeze to absorb the epsilon slop
-                # the scan's tie-breaking permits; caps inside the slop
-                # fall back to an honest rescan.
-                guard = best_share
-                while True:
-                    capped = cap_order[cap_i]
-                    rate = capped.rate_cap
-                    capped.rate = rate
-                    unfrozen.discard(capped)
-                    for link in capped.path:
-                        r = residual[link] - rate
-                        residual[link] = r if r > 0.0 else 0.0
-                        counts[link] -= 1
-                    guard -= 2.0 * eps
-                    cap_i += 1
-                    while cap_i < n_caps and cap_order[cap_i] not in unfrozen:
-                        cap_i += 1
-                    if cap_i >= n_caps or not cap_order[cap_i].rate_cap < guard:
-                        break
+                # The tightest cap binds before any link share: freeze
+                # that one flow at its cap, then rescan.
+                flow = cap_order[cap_i]
+                rate = flow.rate_cap
+                flow.rate = rate
+                unfrozen.discard(flow)
+                for link in flow.path:
+                    r = residual[link] - rate
+                    residual[link] = r if r > 0.0 else 0.0
+                    counts[link] -= 1
+                cap_i += 1
                 continue
             if best_link is None:
                 # Remaining flows traverse no constrained link (shouldn't
@@ -889,11 +770,16 @@ class Network:
                     flow.rate = min(flow.rate_cap, 1e18)
                 break
             if counts[best_link] == len(unfrozen):
-                # Final round (the cap check above already passed): all
-                # remaining flows freeze here; skip the dead bookkeeping.
+                # Final round: every remaining flow is on the bottleneck,
+                # so all freeze at this share and the residual/count
+                # updates would never be read again.  On the star's
+                # all-to-one case this makes the whole solve one scan.
                 for flow in unfrozen:
                     flow.rate = best_share
                 return
+            # Direct iteration over the same set object the reference
+            # builds its ``froze`` list from: same element order, and
+            # discarding a flow never changes another's membership test.
             for flow in best_link._flows:
                 if flow in unfrozen:
                     flow.rate = best_share

@@ -15,7 +15,7 @@ more would MPI-D gain if the cluster had IB instead of GigE?
 from __future__ import annotations
 
 from repro.transports.base import Transport, WireCosts
-from repro.util.units import KiB, MiB
+from repro.util.units import KiB
 
 #: DDR IB 4x, 2010: 16 Gbit/s signal, ~1.5 GB/s MPI payload bandwidth.
 IB_BANDWIDTH = 1.5e9

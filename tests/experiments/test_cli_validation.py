@@ -62,6 +62,14 @@ CASES = {
     "network_faults-gb-inf": (network_faults.main, ["--gb", "inf"]),
     "stragglers-seeds-negative": (stragglers.main, ["--gb", "1", "--seeds", "-1"]),
     "robustness-seeds-junk": (robustness.main, ["--seeds", "1,x"]),
+    "robustness-seeds-duplicate": (robustness.main, ["--gb", "1", "--seeds", "1,1"]),
+    "capacity-store-seeds-duplicate": (
+        capacity.main,
+        ["--quick", "--store-out", "unused", "--store-seeds", "2011,2011"],
+    ),
+    "fault_tolerance-rates-duplicate": (
+        fault_tolerance.main, ["--gb", "1", "--seeds", "2011", "--rates", "20,20"]
+    ),
     "capacity-store-seeds-nan": (
         capacity.main, ["--quick", "--store-out", "unused", "--store-seeds", "nan"]
     ),
@@ -129,6 +137,11 @@ class TestNumberList:
         with pytest.raises(argparse.ArgumentTypeError):
             number_list()(text)
 
+    @pytest.mark.parametrize("text", ["1,1", "1, 2, 1", "20,20.0"])
+    def test_rejects_a_repeated_value(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="^duplicate "):
+            number_list()(text)
+
     def test_non_negative_allows_zero_only(self):
         assert number_list(positive=False)("0") == (0.0,)
         with pytest.raises(argparse.ArgumentTypeError):
@@ -154,7 +167,7 @@ class TestFlagTypes:
     def test_choice_list(self):
         parse = list_of(one_of(("fair", "fifo")))
         assert parse("fair, fifo") == ("fair", "fifo")
-        for text in ("", "fair,bogus"):
+        for text in ("", "fair,bogus", "fair,fair"):
             with pytest.raises(argparse.ArgumentTypeError):
                 parse(text)
 

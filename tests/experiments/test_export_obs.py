@@ -1,4 +1,4 @@
-"""Tests for the observability-era exporters: JSON dumps + metric dumps."""
+"""Tests for the observability-era exporters: the JSON dumps."""
 
 import pytest
 
@@ -8,11 +8,8 @@ from repro.experiments.export import (
     fault_tolerance_csv,
     fault_tolerance_json,
     fig6_json,
-    obs_metrics_csv,
-    obs_metrics_json,
 )
 from repro.experiments.fig6_wordcount import run as fig6_run
-from repro.obs import Observer
 
 
 @pytest.fixture(scope="module")
@@ -81,35 +78,6 @@ class TestFaultToleranceExports:
             fault_result.mpid_faults[40.0]["wasted_task_seconds"]
         )
         assert (wasted > 0.0) == (restarts > 0)
-
-
-class TestObsMetricsDumps:
-    @pytest.fixture
-    def observer(self):
-        clock_t = [0.0]
-        obs = Observer(clock=lambda: clock_t[0])
-        obs.metrics.counter("net.bytes").add(64)
-        obs.metrics.histogram("slots").set(3)
-        clock_t[0] = 2.0
-        return obs
-
-    def test_csv_rows(self, observer):
-        header, rows = obs_metrics_csv(observer)
-        assert header == [
-            "metric", "type", "value", "mean", "min", "max",
-            "p50", "p95", "p99", "events",
-        ]
-        assert [r[0] for r in rows] == ["net.bytes", "slots"]
-        by_name = {r[0]: dict(zip(header, r)) for r in rows}
-        # Counters carry no distribution, so the percentile cells stay blank;
-        # histograms report duration-weighted quantiles.
-        assert by_name["net.bytes"]["p50"] == ""
-        assert by_name["slots"]["p50"] == 3.0
-
-    def test_json_dump(self, observer):
-        data = obs_metrics_json(observer)
-        assert data["net.bytes"] == {"type": "counter", "value": 64.0, "events": 1}
-        assert data["slots"]["mean"] == pytest.approx(3.0)
 
 
 class TestCriticalPathExport:

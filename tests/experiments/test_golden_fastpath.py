@@ -1,6 +1,6 @@
 """Golden determinism: experiment exports are solver- and engine-independent.
 
-The incremental max-min solver and the horizon-batched flow engine are
+The production max-min solver and the horizon-batched flow engine are
 only admissible because they change *nothing* observable: every
 experiment export must serialise byte-identically under the production
 and reference solvers, under the production and reference flow engines

@@ -8,7 +8,7 @@ change, and plain :class:`~repro.simnet.kernel.Timeout` timers.
 :class:`ReferenceRateDevice` recomputes its processor-sharing shares
 synchronously on every arrival instead of deferring to one flush per
 instant.  :class:`ReferenceSolverNetwork` keeps the production engine
-but replaces the incremental max-min solver with
+but replaces the production max-min solver with
 :func:`maxmin_rates_reference`, a from-scratch progressive-filling pass
 over every active flow on every solve.
 

@@ -6,7 +6,7 @@ Two independent fast paths must reproduce the reference **bit-for-bit**
 arbitrary interleavings of flow arrivals, departures, kills, link
 flaps, capacity changes and partitions:
 
-* the incremental max-min solver (`Network._maxmin_rates`) against the
+* the whole-set max-min solver (`Network._maxmin_rates`) against the
   from-scratch reference solver (`maxmin_rates_reference` in
   ``reference_engine.py``), checked synchronously at every op;
 * the production horizon-batching engine (dense slot lists, deferred
@@ -55,15 +55,18 @@ ENGINE_CASES = [
 ]
 
 
-def _build(engine: str = "production"):
+def _build(engine: str = "production", nodes: int = NODES, uniform: bool = False):
     sim = Simulator()
     net = ENGINES[engine](sim)
     ups, dns = [], []
-    for n in range(NODES):
+    for n in range(nodes):
         # Deliberately non-uniform capacities: uniform ones hide
         # tie-breaking bugs because every order gives the same shares.
-        ups.append(net.add_link(f"n{n}.up", 100e6 * (1 + 0.11 * n)))
-        dns.append(net.add_link(f"n{n}.dn", 95e6 * (1 + 0.07 * n)))
+        # ``uniform`` gives every link one capacity, to force epsilon ties.
+        up = 100e6 if uniform else 100e6 * (1 + 0.11 * n)
+        dn = 100e6 if uniform else 95e6 * (1 + 0.07 * n)
+        ups.append(net.add_link(f"n{n}.up", up))
+        dns.append(net.add_link(f"n{n}.dn", dn))
     return sim, net, ups, dns
 
 
@@ -203,7 +206,7 @@ def test_differential_random_ops(ops):
     """Hypothesis churn, swept across engines AND solvers.
 
     The scalar oracle run is the reference: every production-engine run
-    — incremental or reference solver — must reproduce its checkpoint
+    — production or reference solver — must reproduce its checkpoint
     rates and delivered bytes *exactly* (no tolerance: same IEEE
     operations, same results).
     """
@@ -256,7 +259,7 @@ def test_differential_seeded_churn(seed, engine):
 @pytest.mark.parametrize("seed", [2011, 2013])
 def test_cross_engine_rates_and_bytes_exact(seed):
     """Seeded churn: production checkpoints == oracle checkpoints, exactly,
-    under both the incremental and the reference solver."""
+    under both the production and the reference solver."""
     ops = _seeded_ops(seed, 80)
     _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
     for engine in ("production", "reference-solver"):
@@ -269,9 +272,82 @@ def test_cross_engine_rates_and_bytes_exact(seed):
 @pytest.mark.parametrize("engine", ENGINE_CASES)
 @pytest.mark.parametrize("seed", [7, 40, 1337])
 def test_differential_seeded_churn_long(seed, engine):
-    """Long churn crosses the BFS population threshold both ways."""
+    """Long churn: populations grow and drain many times over."""
     checks, _, _ = _apply_ops(_seeded_ops(seed, 400), engine=engine)
     assert checks >= 400
+
+
+# -- large populations ------------------------------------------------------
+
+STAR = 8
+LOW, HIGH = 50, 120
+_INF = float("inf")
+
+
+def _large_churn(seed: int, uniform: bool, groups, ops: int = 400) -> list[int]:
+    """Seeded churn holding 50–120 flows in flight; every flow stays
+    inside one node group.  After each op the standing rates must equal
+    a from-scratch reference solve exactly.  Returns the flow count at
+    each check."""
+    sim, net, ups, dns = _build(nodes=STAR, uniform=uniform)
+    rng = random.Random(seed)
+    live: list = []
+    seen: list[int] = []
+
+    def join():
+        group = rng.choice(groups)
+        src, dst = rng.sample(group, 2)
+        cap = rng.choice([8e5, 2.5e6, 6e6, 2.5e7]) if rng.random() < 0.2 else _INF
+        size = 10 ** rng.uniform(6, 8.5)
+        live.append(net.transfer_flow((ups[src], dns[dst]), size, rate_cap=cap))
+
+    def driver():
+        for _ in range(ops):
+            live[:] = [f for f in live if not f.done.triggered]
+            n = len(live)
+            roll = rng.random()
+            if n < LOW or (n < HIGH and roll < 0.45):
+                join()
+            elif n >= HIGH or roll < 0.55:
+                net.cancel_flow(live[rng.randrange(n)], reason="leave")
+            elif roll < 0.65:
+                net.fail_flow(live[rng.randrange(n)], reason="kill")
+            elif roll < 0.85:
+                links = rng.choice([ups, dns])
+                scale = rng.choice([0.5, 1.0]) if uniform else rng.uniform(0.2, 2.5)
+                net.set_link_capacity(links[rng.randrange(STAR)], 100e6 * scale)
+            else:
+                yield sim.timeout(rng.uniform(0.0, 0.01))
+            net._settle_pending()
+            seen.append(len(net._flows))
+            _check_against_reference(net)
+
+    sim.process(driver(), name="large-churn")
+    sim.run()
+    return seen
+
+
+_ALL = (tuple(range(STAR)),)
+_SPLIT = (tuple(range(STAR // 2)), tuple(range(STAR // 2, STAR)))
+
+
+@pytest.mark.parametrize(
+    "uniform, groups",
+    [
+        pytest.param(False, _ALL, id="nonuniform"),
+        pytest.param(True, _ALL, id="uniform-ties"),
+        pytest.param(False, _SPLIT, id="two-groups"),
+    ],
+)
+@pytest.mark.parametrize("seed", [2011, 2012])
+def test_large_population_matches_reference(seed, uniform, groups):
+    """50–120 concurrent flows, caps on about one flow in five: the
+    populations the whole-set solve serves, pinned to the oracle."""
+    seen = _large_churn(seed, uniform, groups)
+    assert len(seen) == 400
+    assert 100 <= max(seen) <= HIGH
+    # After the ramp every check solves more than 48 flows.
+    assert min(seen[LOW:]) > 48
 
 
 def test_skip_counter_counts_clean_solves():
